@@ -1,4 +1,5 @@
-// PR-4 service throughput gate + PR-5 probe-granularity series.
+// PR-4 service throughput gate + the chaos, durability and sharded-core
+// series that share its fleets.
 //
 // Schedules the same multi-tenant workload at several scheduler lane
 // counts and measures what the service layer exists for — aggregate
@@ -9,15 +10,11 @@
 // and exits nonzero when either gated ratio regressed by more than
 // --max-regression (default 20%).
 //
-// The PR-5 series re-runs the capacity-pressured configuration under
-// both scheduler modes — probe granularity (sessions park off their
-// lane while waiting for pool capacity) and the legacy job-per-lane
-// baseline (a blocked job idles its lane) — and writes the comparison
-// to BENCH_PR5.json: the lane-idle fraction of each mode, the idle-
-// fraction drop, session parks, and the job-over-probe makespan ratio.
-// Gated: the two modes' per-job reports must be bit-identical, probe
-// mode must actually park under pressure, and (vs --baseline5) the
-// lane-idle drop and makespan ratio must not regress.
+// The contended run puts a probe-dense fleet under hard capacity
+// pressure (a pool the size of one max-size probe, shared cache off).
+// Gated: sessions must actually park there, or the park/resume path
+// went unexercised. It is the fault-free baseline of the PR-6 and PR-8
+// series below.
 //
 // The PR-6 chaos series re-runs the contended configuration with the
 // service-level ChaosInjector firing lane crashes at a 10% per-step
@@ -47,10 +44,9 @@
 //
 // The PR-10 sharded-core series stresses the low-contention service
 // core at scale: a 128-session fleet over 8 tenants, swept across
-// sharded lane counts (1/2/4/16) plus the legacy central dispatcher at
-// 4 lanes, under real capacity pressure so sessions park and resume on
-// their owner lanes while idle lanes steal. Written to BENCH_PR10.json
-// and the pr10-sharded-gate observatory suite. Gated: every run's
+// lane counts (1/2/4/16), under real capacity pressure so sessions park
+// and resume on their owner lanes while idle lanes steal. Written to
+// BENCH_PR10.json and the pr10-sharded-gate observatory suite. Gated: every run's
 // per-job reports bit-identical to the 1-lane schedule (work stealing
 // must not perturb a single trace), steals and parks actually fire,
 // the cache runs striped, and — on machines with >= 4 cores — the
@@ -63,9 +59,8 @@
 // the committed baseline meaningful on CI runners of any size.
 //
 // Usage:
-//   bench_service_throughput [--out FILE] [--out5 FILE] [--out6 FILE]
-//                            [--out8 FILE] [--out10 FILE]
-//                            [--baseline FILE] [--baseline5 FILE]
+//   bench_service_throughput [--out FILE] [--out6 FILE] [--out8 FILE]
+//                            [--out10 FILE] [--baseline FILE]
 //                            [--baseline6 FILE] [--baseline8 FILE]
 //                            [--baseline10 FILE]
 //                            [--max-regression FRACTION] [--quick]
@@ -154,7 +149,7 @@ service::Workload bench_fleet() {
   return workload;
 }
 
-/// The PR-5 contended fleet: exhaustive searchers, which probe
+/// The contended fleet: exhaustive searchers, which probe
 /// back-to-back with no surrogate compute in between, so in-flight
 /// probes keep the capacity pool at a high duty cycle — the regime
 /// where the scheduler's run-vs-park decision dominates lane
@@ -205,16 +200,15 @@ service::Workload sharded_fleet() {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--out FILE] [--out5 FILE] [--out6 FILE] "
-               "[--out8 FILE] [--out10 FILE] [--baseline FILE] "
-               "[--baseline5 FILE] [--baseline6 FILE] [--baseline8 FILE] "
-               "[--baseline10 FILE] "
+               "usage: %s [--out FILE] [--out6 FILE] [--out8 FILE] "
+               "[--out10 FILE] [--baseline FILE] [--baseline6 FILE] "
+               "[--baseline8 FILE] [--baseline10 FILE] "
                "[--max-regression FRACTION] [--quick]\n",
                argv0);
   return 2;
 }
 
-/// Baseline ratio check shared by the PR-4 and PR-5 gates: fails when
+/// Baseline ratio check shared by the series gates: fails when
 /// `value` fell more than `max_regression` below the baseline's number
 /// for any of `keys` (higher = better for every gated metric).
 bool check_baseline(const std::string& path,
@@ -267,12 +261,10 @@ bool check_baseline(const std::string& path,
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_PR4.json";
-  std::string out5_path = "BENCH_PR5.json";
   std::string out6_path = "BENCH_PR6.json";
   std::string out8_path = "BENCH_PR8.json";
   std::string out10_path = "BENCH_PR10.json";
   std::string baseline_path;
-  std::string baseline5_path;
   std::string baseline6_path;
   std::string baseline8_path;
   std::string baseline10_path;
@@ -282,8 +274,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--out5" && i + 1 < argc) {
-      out5_path = argv[++i];
     } else if (arg == "--out6" && i + 1 < argc) {
       out6_path = argv[++i];
     } else if (arg == "--out8" && i + 1 < argc) {
@@ -292,8 +282,6 @@ int main(int argc, char** argv) {
       out10_path = argv[++i];
     } else if (arg == "--baseline" && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else if (arg == "--baseline5" && i + 1 < argc) {
-      baseline5_path = argv[++i];
     } else if (arg == "--baseline6" && i + 1 < argc) {
       baseline6_path = argv[++i];
     } else if (arg == "--baseline8" && i + 1 < argc) {
@@ -313,7 +301,6 @@ int main(int argc, char** argv) {
   // probe (wall time, RSS, allocations) for the whole run; all four
   // suites share this binary, so each history record carries the series.
   bench::metrics("pr4-service-gate");
-  bench::metrics("pr5-scheduler-gate");
   bench::metrics("pr6-chaos-gate");
   bench::metrics("pr8-durability-gate");
   bench::metrics("pr10-sharded-gate");
@@ -354,29 +341,22 @@ int main(int argc, char** argv) {
               &pressured);
   }
 
-  // PR-5 series: a probe-dense fleet under *hard* capacity pressure —
-  // the pool shrunk to one max-size probe's worth of nodes and the
-  // shared cache off so every probe launches live — run under both
-  // scheduler modes. Job-per-lane idles a lane for every capacity wait;
-  // probe granularity parks the session and lends the lane out, which
-  // is exactly the lane-idle gap this series measures.
+  // The contended run: a probe-dense fleet under *hard* capacity
+  // pressure — the pool shrunk to one max-size probe's worth of nodes
+  // and the shared cache off so every probe launches live — so sessions
+  // park and lend their lanes out.
   const service::Workload contended = contended_fleet();
-  service::BatchReport contended_probe_mode;
-  service::BatchReport contended_job_mode;
-  double contended_probe_secs = 0.0;
+  service::BatchReport contended_report;
+  double contended_secs = 0.0;
   {
     service::SchedulerOptions options;
     options.threads = 4;
     options.capacity_nodes = 8;  // == every job's max_nodes
     options.share_probes = false;
-    contended_probe_secs = best_time(
+    contended_secs = best_time(
         trials,
         [&] { return service::Scheduler(mlcd, options).run(contended); },
-        &contended_probe_mode);
-    options.probe_granularity = false;
-    best_time(trials,
-              [&] { return service::Scheduler(mlcd, options).run(contended); },
-              &contended_job_mode);
+        &contended_report);
   }
 
   // PR-6 chaos series: the identical contended configuration, but with
@@ -478,71 +458,10 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %s\n", out_path.c_str());
 
-  // ------------------------------------------------ PR-5 scheduler series
-  // Probe granularity vs job-per-lane under the same capacity pressure:
-  // how much lane-time the park/resume design recovers.
-  const double lane_idle_probe = contended_probe_mode.lane_idle_fraction();
-  const double lane_idle_job = contended_job_mode.lane_idle_fraction();
-  const int session_parks = contended_probe_mode.total_session_parks();
-  const double makespan_ratio =
-      contended_probe_mode.makespan_seconds > 0.0
-          ? contended_job_mode.makespan_seconds /
-                contended_probe_mode.makespan_seconds
-          : 0.0;
-  bool modes_identical =
-      contended_probe_mode.jobs.size() == contended_job_mode.jobs.size();
-  for (std::size_t i = 0;
-       modes_identical && i < contended_probe_mode.jobs.size(); ++i) {
-    modes_identical = contended_probe_mode.jobs[i].ok &&
-                      contended_job_mode.jobs[i].ok &&
-                      contended_probe_mode.jobs[i].report.to_json() ==
-                          contended_job_mode.jobs[i].report.to_json();
-  }
-
-  std::map<std::string, double> pr5_metrics;
-  pr5_metrics["lane_idle_fraction_probe"] = lane_idle_probe;
-  pr5_metrics["lane_idle_fraction_job"] = lane_idle_job;
-  pr5_metrics["lane_idle_drop"] = lane_idle_job - lane_idle_probe;
-  pr5_metrics["lane_busy_ratio_probe_vs_job"] =
-      lane_idle_job < 1.0 && lane_idle_probe < 1.0
-          ? (1.0 - lane_idle_probe) / (1.0 - lane_idle_job)
-          : 0.0;
-  pr5_metrics["makespan_ratio_job_over_probe"] = makespan_ratio;
-  pr5_metrics["session_parks"] = static_cast<double>(session_parks);
-  pr5_metrics["job_mode_capacity_stall_seconds"] = [&] {
-    double total = 0.0;
-    for (const auto& job : contended_job_mode.jobs) {
-      total += job.stats.capacity_stall_seconds;
-    }
-    return total;
-  }();
-
-  std::printf("PR-5 scheduler series (4 lanes, 8-node pool, no cache):\n");
-  for (const auto& [name, value] : pr5_metrics) {
-    std::printf("  %-34s %.4g\n", name.c_str(), value);
-    bench::record_gate_metric("pr5-scheduler-gate", name, value);
-  }
-  std::printf("  %-34s %s\n", "reports_identical_probe_vs_job",
-              modes_identical ? "yes" : "NO");
-
-  util::JsonWriter json5;
-  json5.begin_object();
-  json5.key("schema_version").value(1);
-  json5.key("bench").value("pr5-scheduler-gate");
-  json5.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json5.key("metrics").begin_object();
-  for (const auto& [name, value] : pr5_metrics) json5.key(name).value(value);
-  json5.end_object();
-  json5.key("determinism").begin_object();
-  json5.key("reports_identical_probe_vs_job").value(modes_identical);
-  json5.key("jobs").value(static_cast<std::int64_t>(workload.jobs.size()));
-  json5.end_object();
-  json5.end_object();
-  {
-    std::ofstream out(out5_path);
-    out << json5.str() << "\n";
-  }
-  std::printf("wrote %s\n", out5_path.c_str());
+  const int session_parks = contended_report.total_session_parks();
+  std::printf("contended run (4 lanes, 8-node pool, no cache): %d session "
+              "parks\n",
+              session_parks);
 
   // -------------------------------------------------- PR-6 chaos series
   // Fault-free vs 10% lane-crash-rate runs of the same contended fleet:
@@ -550,9 +469,7 @@ int main(int argc, char** argv) {
   // contract's cheap observables (nobody fails, crashes fired, jobs no
   // crash touched are bit-identical to the fault-free run).
   const double chaos_overhead =
-      contended_probe_secs > 0.0
-          ? chaos_secs / contended_probe_secs - 1.0
-          : 0.0;
+      contended_secs > 0.0 ? chaos_secs / contended_secs - 1.0 : 0.0;
   bool chaos_all_ok = chaos_report.jobs.size() == contended.jobs.size();
   bool chaos_untouched_identical = true;
   int chaos_replayed_probes = 0;
@@ -562,9 +479,9 @@ int main(int argc, char** argv) {
     if (!job.ok) continue;
     chaos_replayed_probes += job.report.result.replayed_probes;
     if (job.stats.lane_crashes == 0 &&
-        i < contended_probe_mode.jobs.size() &&
+        i < contended_report.jobs.size() &&
         job.report.to_json() !=
-            contended_probe_mode.jobs[i].report.to_json()) {
+            contended_report.jobs[i].report.to_json()) {
       chaos_untouched_identical = false;
     }
   }
@@ -574,7 +491,7 @@ int main(int argc, char** argv) {
   // Higher = better (1.0 = free recovery), so the shared baseline gate
   // applies directly.
   pr6_metrics["chaos_throughput_ratio"] =
-      chaos_secs > 0.0 ? contended_probe_secs / chaos_secs : 0.0;
+      chaos_secs > 0.0 ? contended_secs / chaos_secs : 0.0;
   pr6_metrics["chaos_lane_crashes"] =
       static_cast<double>(chaos_report.total_lane_crashes());
   pr6_metrics["chaos_replayed_probes"] =
@@ -582,7 +499,7 @@ int main(int argc, char** argv) {
   pr6_metrics["chaos_session_parks"] =
       static_cast<double>(chaos_report.total_session_parks());
   pr6_metrics["chaos_secs"] = chaos_secs;
-  pr6_metrics["fault_free_secs"] = contended_probe_secs;
+  pr6_metrics["fault_free_secs"] = contended_secs;
 
   std::printf(
       "PR-6 chaos series (~10%% per-session lane-failure rate, seed "
@@ -691,15 +608,15 @@ int main(int argc, char** argv) {
   // the journal-less contended run, modulo resume bookkeeping (which
   // the resume-invariant digest excludes).
   bool self_identical =
-      self_report.jobs.size() == contended_probe_mode.jobs.size();
+      self_report.jobs.size() == contended_report.jobs.size();
   bool journaled_identical =
-      journaled_report.jobs.size() == contended_probe_mode.jobs.size();
+      journaled_report.jobs.size() == contended_report.jobs.size();
   bool replay_identical =
-      replay_report.jobs.size() == contended_probe_mode.jobs.size();
+      replay_report.jobs.size() == contended_report.jobs.size();
   int replayed_probes8 = 0;
-  for (std::size_t i = 0; i < contended_probe_mode.jobs.size(); ++i) {
+  for (std::size_t i = 0; i < contended_report.jobs.size(); ++i) {
     const std::uint64_t plain_digest =
-        service::digest_run_report(contended_probe_mode.jobs[i].report);
+        service::digest_run_report(contended_report.jobs[i].report);
     self_identical = self_identical && self_report.jobs[i].ok &&
                      service::digest_run_report(self_report.jobs[i].report) ==
                          plain_digest;
@@ -725,11 +642,11 @@ int main(int argc, char** argv) {
       journaled_secs > 0.0 ? self_secs / journaled_secs : 0.0;
   // Ungated: what fsync-per-probe costs against 5us simulated probes.
   pr8_metrics["durability_overhead_ratio"] =
-      contended_probe_secs > 0.0 ? journaled_secs / contended_probe_secs
+      contended_secs > 0.0 ? journaled_secs / contended_secs
                                  : 0.0;
   pr8_metrics["journaled_secs"] = journaled_secs;
   pr8_metrics["self_journaled_secs"] = self_secs;
-  pr8_metrics["plain_secs"] = contended_probe_secs;
+  pr8_metrics["plain_secs"] = contended_secs;
   pr8_metrics["replay_secs"] = replay_secs;
   pr8_metrics["replay_speedup"] =
       replay_secs > 0.0 ? journaled_secs / replay_secs : 0.0;
@@ -776,7 +693,7 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------- PR-10 sharded-core series
   // 128 sessions, 8 tenants, capacity pressure forcing parks, swept
-  // across sharded lane counts plus the legacy central dispatcher. The
+  // across lane counts. The
   // pool cannot hold two max-size probes at once, so with up to 16
   // concurrent probers owner-lane resume and cross-lane stealing both
   // fire constantly.
@@ -787,30 +704,15 @@ int main(int argc, char** argv) {
   for (const int lanes : {1, 2, 4, 16}) {
     service::SchedulerOptions options;
     options.threads = lanes;
-    options.capacity_nodes = 6;  // == every job's max_nodes (PR-5 pattern)
+    options.capacity_nodes = 6;  // == every job's max_nodes
     options.tenant_max_jobs = 4;
     sharded_secs[lanes] = best_time(
         trials,
         [&] { return service::Scheduler(mlcd, options).run(sharded); },
         &sharded_reports[lanes]);
   }
-  service::BatchReport central_l4;
-  double central_l4_secs = 0.0;
-  {
-    service::SchedulerOptions options;
-    options.threads = 4;
-    options.capacity_nodes = 6;
-    options.tenant_max_jobs = 4;
-    options.sharded_dispatch = false;
-    central_l4_secs = best_time(
-        trials,
-        [&] { return service::Scheduler(mlcd, options).run(sharded); },
-        &central_l4);
-  }
-
-  // Determinism across the whole sweep: every schedule — any sharded
-  // lane count, and the central dispatcher — must reproduce the 1-lane
-  // run's per-job reports bit-for-bit.
+  // Determinism across the whole sweep: every lane count must
+  // reproduce the 1-lane run's per-job reports bit-for-bit.
   const service::BatchReport& ref10 = sharded_reports[1];
   bool sweep_identical = true;
   const auto reports_match = [&](const service::BatchReport& other) {
@@ -826,7 +728,6 @@ int main(int argc, char** argv) {
   for (const int lanes : {2, 4, 16}) {
     sweep_identical = sweep_identical && reports_match(sharded_reports[lanes]);
   }
-  const bool central_identical = reports_match(central_l4);
 
   const service::BatchReport& wide = sharded_reports[16];
   std::map<std::string, double> pr10_metrics;
@@ -834,7 +735,6 @@ int main(int argc, char** argv) {
   pr10_metrics["jobs_per_sec_l2"] = n10 / sharded_secs[2];
   pr10_metrics["jobs_per_sec_l4"] = n10 / sharded_secs[4];
   pr10_metrics["jobs_per_sec_l16"] = n10 / sharded_secs[16];
-  pr10_metrics["central_jobs_per_sec_l4"] = n10 / central_l4_secs;
   const double speedup10_t4 = sharded_secs[4] > 0.0
                                   ? sharded_secs[1] / sharded_secs[4]
                                   : 0.0;
@@ -855,8 +755,6 @@ int main(int argc, char** argv) {
   }
   std::printf("  %-34s %s\n", "reports_identical_l1_l2_l4_l16",
               sweep_identical ? "yes" : "NO");
-  std::printf("  %-34s %s\n", "reports_identical_sharded_vs_central",
-              central_identical ? "yes" : "NO");
   std::printf("  %-34s %d\n", "session_parks_l16", parks10);
   std::printf("  %-34s %d\n", "cache_stripes", wide.cache.stripes);
 
@@ -872,7 +770,6 @@ int main(int argc, char** argv) {
   json10.end_object();
   json10.key("determinism").begin_object();
   json10.key("reports_identical_l1_l2_l4_l16").value(sweep_identical);
-  json10.key("reports_identical_sharded_vs_central").value(central_identical);
   json10.key("jobs").value(static_cast<std::int64_t>(sharded.jobs.size()));
   json10.end_object();
   json10.end_object();
@@ -937,12 +834,6 @@ int main(int argc, char** argv) {
                  100.0 * chaos_overhead);
     ok = false;
   }
-  if (!modes_identical) {
-    std::fprintf(stderr,
-                 "GATE FAIL: per-job reports differ between the probe-"
-                 "granularity and job-per-lane schedulers\n");
-    ok = false;
-  }
   if (session_parks <= 0) {
     std::fprintf(stderr,
                  "GATE FAIL: the pressured fleet never parked a session "
@@ -972,12 +863,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "GATE FAIL: per-job reports differ across sharded lane "
                  "counts — work stealing perturbed a trace\n");
-    ok = false;
-  }
-  if (!central_identical) {
-    std::fprintf(stderr,
-                 "GATE FAIL: per-job reports differ between the sharded "
-                 "and central dispatchers\n");
     ok = false;
   }
   if (wide.lane_steals <= 0) {
@@ -1021,18 +906,6 @@ int main(int argc, char** argv) {
       !check_baseline(baseline_path,
                       {"jobs_per_sec_speedup_t4", "cache_hit_rate_t4"},
                       metrics, max_regression,
-                      /*skip_parallel_ratios=*/true)) {
-    ok = false;
-  }
-  // PR-5 baseline: the recovered lane-time ratio and the job-over-probe
-  // makespan ratio are both dimensionless (higher = better). Like the
-  // lane-speedup ratio above they only mean anything with real
-  // parallelism on both sides.
-  if (!baseline5_path.empty() &&
-      !check_baseline(baseline5_path,
-                      {"lane_busy_ratio_probe_vs_job",
-                       "makespan_ratio_job_over_probe"},
-                      pr5_metrics, max_regression,
                       /*skip_parallel_ratios=*/true)) {
     ok = false;
   }

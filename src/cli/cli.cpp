@@ -1,6 +1,8 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <map>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -114,12 +116,6 @@ batch options (multi-tenant scheduler; see docs/service.md):
                         nodes; over-capacity probes queue      [unlimited]
   --tenant-quota <n>    max concurrent jobs per tenant         [unlimited]
   --no-share            disable the cross-job probe cache
-  --scheduler <mode>    sharded = probe granularity, per-lane run
-                        queues with work stealing; central = probe
-                        granularity, legacy single-queue dispatch
-                        (differential testing); job = legacy
-                        job-per-lane blocking. All modes produce
-                        bit-identical per-job reports          [sharded]
   --cache-stripes <n>   probe-cache stripe count (power of two);
                         more stripes = less lock contention
                         between lanes                          [16]
@@ -182,6 +178,42 @@ perfcheck exit codes:
 int usage_error(std::ostream& err, const std::string& message) {
   err << "mlcd: " << message << "\n" << kUsage;
   return 2;
+}
+
+/// The options each subcommand reads (--help aside). Any other option is
+/// a usage error, so a typo'd option fails loudly instead of silently
+/// running with the default it meant to override.
+const std::map<std::string, std::vector<std::string>>& command_options() {
+  // request_from() reads these for both deploy and compare.
+  static const std::vector<std::string> kRequest = {
+      "model", "platform", "budget", "deadline", "types", "spot",
+      "max-nodes", "method", "seed", "threads", "gp-refit-every",
+      "failure-rate", "fidelity-rungs", "fidelity-max-bias",
+      "fidelity-max-noise", "straggler-rate", "outage-rate", "max-retries",
+      "chaos-seed", "journal", "resume", "journal-on-error",
+      "probe-timeout", "watchdog-seconds"};
+  static const std::map<std::string, std::vector<std::string>> kOptions = [] {
+    std::vector<std::string> deploy = kRequest;
+    deploy.insert(deploy.end(),
+                  {"catalog", "save-trace", "warm-start", "trace", "json"});
+    return std::map<std::string, std::vector<std::string>>{
+        {"deploy", deploy},
+        {"compare", kRequest},
+        {"batch",
+         {"threads", "capacity", "tenant-quota", "no-share", "cache-stripes",
+          "json", "out", "journal-dir", "resume", "journal-on-error",
+          "chaos-seed", "chaos-lane-crash-rate", "chaos-revocation-rate",
+          "chaos-probe-loss-rate", "chaos-stall-rate"}},
+        {"searchers", {}},
+        {"models", {}},
+        {"instances", {"family"}},
+        {"export-catalog", {"out"}},
+        {"perfcheck",
+         {"history-dir", "suite", "window", "min-noise", "threads",
+          "verbose", "run-id"}},
+    };
+  }();
+  return kOptions;
 }
 
 journal::OnError parse_journal_on_error(const Args& args) {
@@ -417,25 +449,8 @@ int cmd_batch(const Args& args, std::ostream& out, std::ostream& err) {
                          "manifest to resume from lives there)");
     }
     options.journal_on_error = parse_journal_on_error(args);
-    // Scheduler mode and cache striping: the workload file may pin
-    // them; the CLI flag wins when both are given.
-    const std::string scheduler_mode = args.get_or(
-        "scheduler", workload.scheduler_mode.empty() ? "sharded"
-                                                     : workload.scheduler_mode);
-    if (scheduler_mode == "sharded" || scheduler_mode == "probe") {
-      // "probe" is the pre-sharding alias for the probe-granularity
-      // scheduler; it now selects the sharded dispatcher.
-      options.probe_granularity = true;
-      options.sharded_dispatch = true;
-    } else if (scheduler_mode == "central") {
-      options.probe_granularity = true;
-      options.sharded_dispatch = false;
-    } else if (scheduler_mode == "job") {
-      options.probe_granularity = false;
-    } else {
-      return usage_error(err, "unknown --scheduler mode '" + scheduler_mode +
-                                  "' (expected sharded, central, or job)");
-    }
+    // Cache striping: the workload file may pin it; the CLI flag wins
+    // when both are given.
     if (workload.cache_stripes >= 0) {
       options.cache_stripes = workload.cache_stripes;
     }
@@ -637,6 +652,17 @@ int run(int argc, const char* const* argv, std::ostream& out,
     out << kUsage;
     return 0;
   }
+  const auto accepted = command_options().find(command);
+  if (accepted == command_options().end()) {
+    return usage_error(err, "unknown command '" + command + "'");
+  }
+  for (const std::string& name : args.names()) {
+    if (std::find(accepted->second.begin(), accepted->second.end(), name) ==
+        accepted->second.end()) {
+      return usage_error(err, "unknown option --" + name + " for '" +
+                                  command + "'");
+    }
+  }
   if (command == "deploy") return cmd_deploy(args, out, err);
   if (command == "batch") return cmd_batch(args, out, err);
   if (command == "compare") return cmd_compare(args, out, err);
@@ -644,15 +670,13 @@ int run(int argc, const char* const* argv, std::ostream& out,
   if (command == "models") return cmd_models(out);
   if (command == "instances") return cmd_instances(args, out);
   if (command == "perfcheck") return cmd_perfcheck(args, out, err);
-  if (command == "export-catalog") {
-    const auto path = args.get("out");
-    if (!path) return usage_error(err, "--out is required");
-    cloud::save_catalog_csv(cloud::aws_catalog(), *path);
-    out << "wrote " << cloud::aws_catalog().size() << " instance types to "
-        << *path << "\n";
-    return 0;
-  }
-  return usage_error(err, "unknown command '" + command + "'");
+  // export-catalog: the last command command_options() admits.
+  const auto path = args.get("out");
+  if (!path) return usage_error(err, "--out is required");
+  cloud::save_catalog_csv(cloud::aws_catalog(), *path);
+  out << "wrote " << cloud::aws_catalog().size() << " instance types to "
+      << *path << "\n";
+  return 0;
 }
 
 }  // namespace mlcd::cli

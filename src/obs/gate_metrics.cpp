@@ -116,22 +116,6 @@ constexpr Spec kSpecs[] = {
     {"pr4-service-gate", "pressured_peak_tenant_jobs", "count", true,
      false, 0.25, "", kDiv, 0, "hard-gated in the bench binary"},
 
-    // ---- pr5-scheduler-gate --------------------------------------
-    {"pr5-scheduler-gate", "lane_idle_fraction_probe", "ratio", true,
-     true, 0.30, "", kDiv, 4, ""},
-    {"pr5-scheduler-gate", "lane_idle_fraction_job", "ratio", true,
-     false, 0.30, "", kDiv, 0, ""},
-    {"pr5-scheduler-gate", "lane_idle_drop", "ratio", false,
-     false, 0.30, "", kDiv, 0, "near-zero baseline; hard-gated in bench"},
-    {"pr5-scheduler-gate", "lane_busy_ratio_probe_vs_job", "ratio", false,
-     true, 0.25, "", kDiv, 4, ""},
-    {"pr5-scheduler-gate", "makespan_ratio_job_over_probe", "ratio", false,
-     true, 0.25, "", kDiv, 4, ""},
-    {"pr5-scheduler-gate", "session_parks", "count", true,
-     false, 0.50, "", kDiv, 0, "timing-dependent"},
-    {"pr5-scheduler-gate", "job_mode_capacity_stall_seconds", "seconds", true,
-     false, 0.50, "", kDiv, 0, "timing-dependent"},
-
     // ---- pr6-chaos-gate ------------------------------------------
     {"pr6-chaos-gate", "chaos_throughput_ratio", "ratio", false,
      true, 0.25, "", kDiv, 0, "chaos / fault-free throughput"},
@@ -184,8 +168,6 @@ constexpr Spec kSpecs[] = {
      false, 0.25, "", kDiv, 0, "uncalibrated wall throughput"},
     {"pr10-sharded-gate", "jobs_per_sec_l16", "per_sec", false,
      false, 0.25, "", kDiv, 0, "uncalibrated wall throughput"},
-    {"pr10-sharded-gate", "central_jobs_per_sec_l4", "per_sec", false,
-     false, 0.25, "", kDiv, 0, "legacy central dispatcher comparison"},
     {"pr10-sharded-gate", "jobs_per_sec_speedup_t4", "ratio", false,
      true, 0.25, "", kDiv, 4, "sharded 4-lane / 1-lane throughput", 1.0},
     {"pr10-sharded-gate", "lane_idle_fraction", "ratio", true,

@@ -1,6 +1,7 @@
 #include "obs/resource.hpp"
 
 #include <chrono>
+#include <cstdio>
 
 #include <sys/resource.h>
 
@@ -31,6 +32,19 @@ bool alloc_hook_active() {
 }
 
 std::uint64_t peak_rss_bytes() {
+  // VmHWM starts afresh at exec. ru_maxrss survives exec, so a binary
+  // launched by a larger process (a python3 script, say) would report
+  // its parent's peak; it is only the fallback.
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long long kb = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof line, status) != nullptr) {
+      found = std::sscanf(line, "VmHWM: %llu kB", &kb) == 1;
+    }
+    std::fclose(status);
+    if (found) return static_cast<std::uint64_t>(kb) * 1024;
+  }
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // Linux reports ru_maxrss in kilobytes.

@@ -34,8 +34,9 @@ AllocCounters alloc_counters();
 /// alloc_counters() actually counts).
 bool alloc_hook_active();
 
-/// Peak resident set size of this process, bytes (getrusage ru_maxrss).
-/// 0 when the platform cannot report it.
+/// Peak resident set size of this process image, bytes: VmHWM from
+/// /proc/self/status, falling back to getrusage's ru_maxrss where that
+/// line is absent. 0 when the platform cannot report either.
 std::uint64_t peak_rss_bytes();
 
 /// Snapshot probe: construct at the start of the region of interest,

@@ -119,11 +119,8 @@ std::string BatchReport::render() const {
   std::ostringstream out;
   out << "=== MLCD batch report ===\n";
   out << "jobs: " << jobs.size() << " (" << succeeded() << " succeeded), "
-      << "scheduler threads: " << threads << " ("
-      << (probe_granularity ? "probe granularity, " + scheduler_mode +
-                                  " dispatch"
-                            : "job per lane")
-      << ")";
+      << "scheduler threads: " << threads
+      << " (probe granularity, sharded dispatch)";
   if (capacity_nodes > 0) out << ", capacity: " << capacity_nodes << " nodes";
   if (tenant_max_jobs > 0) {
     out << ", tenant quota: " << tenant_max_jobs << " concurrent";
@@ -206,8 +203,10 @@ std::string BatchReport::to_json() const {
   json.key("schema_version").value(kJsonSchemaVersion);
   json.key("scheduler").begin_object();
   json.key("threads").value(threads);
-  json.key("mode").value(scheduler_mode);
-  json.key("probe_granularity").value(probe_granularity);
+  // Schema-6 constants: one scheduler remains, and v2/v6 readers still
+  // find the keys.
+  json.key("mode").value("sharded");
+  json.key("probe_granularity").value(true);
   json.key("lane_steals").value(lane_steals);
   json.key("capacity_nodes").value(capacity_nodes);
   json.key("tenant_max_jobs").value(tenant_max_jobs);

@@ -48,20 +48,16 @@ struct JobStats {
   /// still books them, keeping its trace solo-identical).
   double reused_probe_cost = 0.0;
   /// Probes that queued for pool capacity / their cumulative wall wait.
-  /// In probe-granularity mode a stall is a *park*: the session leaves
-  /// its lane and the wait accrues off-lane.
+  /// A stall is a *park*: the session leaves its lane and the wait
+  /// accrues off-lane.
   int capacity_stalls = 0;
   double capacity_stall_seconds = 0.0;
-  /// Times the session was parked off its lane for capacity (probe-
-  /// granularity scheduler only; 0 in job-per-lane mode, where a blocked
-  /// job occupies its lane for the whole wait).
+  /// Times the session was parked off its lane for capacity.
   int session_parks = 0;
-  /// Real seconds the job actually occupied a scheduler lane. In probe-
-  /// granularity mode this excludes parked time; in job-per-lane mode it
-  /// is run_seconds minus the in-lane capacity waits. The gap between
-  /// total lane-busy time and lanes x makespan is the fleet's lane-idle
-  /// fraction — the quantity the probe-granularity scheduler exists to
-  /// shrink.
+  /// Real seconds the job actually occupied a scheduler lane, excluding
+  /// parked time. The gap between total lane-busy time and lanes x
+  /// makespan is the fleet's lane-idle fraction — the quantity the
+  /// probe-granularity scheduler exists to shrink.
   double lane_busy_seconds = 0.0;
 
   // --- Service-level chaos & SLO counters (schema v3). Unlike the
@@ -152,29 +148,19 @@ struct BatchReport {
   /// (emitted only when a degrade-policy batch lost its manifest).
   /// Every v4 key is unchanged — v4 readers keep working; a batch run
   /// without --journal-dir simply reports all-zero counters.
-  /// 6 = adds scheduler.mode ("sharded" / "central" / "job"),
-  /// scheduler.lane_steals, and the probe_cache.stripes /
-  /// probe_cache.stripe_max_imbalance keys for the sharded service
-  /// core. Every v5 key is unchanged — v5 readers keep working
-  /// (probe_granularity remains and mirrors mode != "job").
+  /// 6 = adds scheduler.mode, scheduler.lane_steals, and the
+  /// probe_cache.stripes / probe_cache.stripe_max_imbalance keys for the
+  /// sharded service core. Every v5 key is unchanged — v5 readers keep
+  /// working. With one scheduler left, scheduler.mode is always
+  /// "sharded" and scheduler.probe_granularity always true.
   static constexpr int kJsonSchemaVersion = 6;
 
   /// Scheduler configuration this batch ran under.
   int threads = 1;
   int capacity_nodes = 0;    ///< 0 = unlimited
   int tenant_max_jobs = 0;   ///< 0 = unlimited
-  /// True when the batch ran under the probe-granularity scheduler
-  /// (sessions multiplexed over lanes one probe at a time); false for
-  /// the legacy job-per-lane mode.
-  bool probe_granularity = true;
-  /// Dispatch variant: "sharded" (per-lane run queues with work
-  /// stealing, the default), "central" (the legacy single-queue probe
-  /// scheduler, kept for differential testing), or "job" (job-per-lane
-  /// mode). Scheduling is trace-neutral, so every variant produces
-  /// bit-identical per-job RunReports.
-  std::string scheduler_mode = "sharded";
-  /// Sessions a lane took from another lane's run queue (sharded
-  /// dispatch only; a wall-clock-dependent quantity like makespan).
+  /// Sessions a lane took from another lane's run queue (a
+  /// wall-clock-dependent quantity like makespan).
   std::int64_t lane_steals = 0;
   /// Outcomes in workload order.
   std::vector<JobOutcome> jobs;
@@ -218,15 +204,15 @@ struct BatchReport {
   int replayed_reports() const noexcept;
   /// Sum of per-job cache hits (probes the fleet did not re-measure).
   int total_cache_hits() const noexcept;
-  /// Sum of per-job capacity parks (probe-granularity mode only).
+  /// Sum of per-job capacity parks.
   int total_session_parks() const noexcept;
   /// Sum of per-job lane-occupancy seconds.
   double total_lane_busy_seconds() const noexcept;
   /// Fraction of the batch's lane-time (lanes x makespan, where lanes =
   /// min(threads, jobs)) that no job occupied, clamped to [0, 1]. This
-  /// is the headline scheduler-efficiency number: job-per-lane wastes
-  /// the whole capacity wait as idle lane-time, probe granularity frees
-  /// the lane instead.
+  /// is the headline scheduler-efficiency number: a session waiting for
+  /// capacity parks and frees its lane, so idle lane-time means the
+  /// fleet ran out of runnable sessions.
   double lane_idle_fraction() const noexcept;
 
   /// Multi-line human-readable summary.

@@ -1,6 +1,5 @@
 #include "service/capacity.hpp"
 
-#include <chrono>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -97,79 +96,12 @@ int CapacityPool::clamp_release(int nodes) noexcept {
   }
 }
 
-void CapacityPool::wake_waiters() noexcept {
-  // Empty critical section on purpose: taking the mutex orders this
-  // notify after any waiter that checked its predicate but has not yet
-  // parked on the condition variable, closing the missed-wakeup window.
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  turn_cv_.notify_all();
-}
-
-CapacityPool::Admission CapacityPool::acquire(int nodes) {
-  validate_request(nodes, capacity_);
-  Admission admission;
-  if (capacity_ == 0) {  // unlimited pool: only track occupancy
-    note_acquired(nodes);
-    return admission;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t ticket = next_ticket_++;
-  std::chrono::steady_clock::time_point wait_start;
-  bool waited = false;
-  // Strict FIFO: only the head ticket may gather, and it holds the
-  // mutex while it does, so at most one blocking gather is in flight —
-  // its transient partial holds can only ever starve try_acquire
-  // callers, who resolve that through their own serialized retry.
-  bool admitted = serving_ == ticket && gather(nodes);
-  while (!admitted) {
-    if (!waited) {
-      waited = true;
-      admission.stalled = true;
-      ++stalls_;
-      wait_start = std::chrono::steady_clock::now();
-      // seq_cst publish: a try_acquire that starts after this point
-      // must observe the waiter and refuse (FIFO non-overtake). The
-      // counter stays raised through every wake-and-recheck until this
-      // ticket is admitted.
-      waiters_.fetch_add(1, std::memory_order_seq_cst);
-      // Dekker handoff with release()/revoke(): they scatter tokens,
-      // fence, then read waiters_. We registered, fence, then re-check
-      // the tokens. In every interleaving at least one side observes
-      // the other — either the releaser sees this waiter and wakes it,
-      // or this re-check sees the released tokens — so a final release
-      // racing our registration can never strand us parked.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      admitted = serving_ == ticket && gather(nodes);
-      if (admitted) break;
-    }
-    turn_cv_.wait(lock);
-    admitted = serving_ == ticket && gather(nodes);
-  }
-  if (waited) {
-    waiters_.fetch_sub(1, std::memory_order_seq_cst);
-    admission.wait_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wait_start)
-            .count();
-    stall_seconds_ += admission.wait_seconds;
-  }
-  note_acquired(nodes);
-  ++serving_;
-  // The next ticket holder may already fit alongside us.
-  turn_cv_.notify_all();
-  return admission;
-}
-
 bool CapacityPool::try_acquire(int nodes) {
   validate_request(nodes, capacity_);
   if (capacity_ == 0) {  // unlimited pool: only track occupancy
     note_acquired(nodes);
     return true;
   }
-  // A blocked acquire() holds the FIFO head; overtaking it would starve
-  // large probes exactly the way the ticket queue exists to prevent. So
-  // any queued ticket makes the answer no, before we touch a token.
-  if (waiters_.load(std::memory_order_seq_cst) > 0) return false;
   if (gather(nodes)) {
     note_acquired(nodes);
     return true;
@@ -183,44 +115,28 @@ bool CapacityPool::try_acquire(int nodes) {
   // failure therefore means a real holder exists, and liveness rides on
   // that holder's eventual release.
   std::lock_guard<std::mutex> lock(mutex_);
-  if (waiters_.load(std::memory_order_seq_cst) > 0) return false;
-  if (gather(nodes)) {
-    note_acquired(nodes);
-    return true;
-  }
-  // Our earlier transient partial hold may have made the head ticket's
-  // gather fail just before the tokens came back; re-wake it so it
-  // re-checks the settled state (we hold the mutex, so this orders
-  // after any waiter about to park on the condition variable).
-  if (waiters_.load(std::memory_order_seq_cst) > 0) turn_cv_.notify_all();
-  return false;
+  if (!gather(nodes)) return false;
+  note_acquired(nodes);
+  return true;
 }
 
 void CapacityPool::release(int nodes) noexcept {
   const int reclaimed = clamp_release(nodes);
   if (capacity_ > 0 && reclaimed > 0) scatter(reclaimed);
-  // Fence pairs with the one in acquire()'s registration path: after
-  // the tokens are back, either we see the registering waiter here and
-  // wake it, or its post-registration re-check sees our tokens.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (waiters_.load(std::memory_order_seq_cst) > 0) wake_waiters();
 }
 
 void CapacityPool::revoke(int nodes) noexcept {
   // Same reserve-safe arithmetic as release(): occupancy can never go
-  // negative, and queued tickets are re-checked head-first. The
-  // revocation ledger only counts nodes that were actually in use: a
-  // revoke that races a release (or a stray double-revoke) reclaims
-  // nothing and must not inflate the stats — revoked_nodes_ would
-  // otherwise drift past what the pool ever held.
+  // negative. The revocation ledger only counts nodes that were
+  // actually in use: a revoke that races a release (or a stray
+  // double-revoke) reclaims nothing and must not inflate the stats —
+  // revoked_nodes_ would otherwise drift past what the pool ever held.
   const int reclaimed = clamp_release(nodes);
   if (reclaimed > 0) {
     if (capacity_ > 0) scatter(reclaimed);
     revocations_.fetch_add(1, std::memory_order_relaxed);
     revoked_nodes_.fetch_add(reclaimed, std::memory_order_relaxed);
   }
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (waiters_.load(std::memory_order_seq_cst) > 0) wake_waiters();
 }
 
 int CapacityPool::in_use() const noexcept {
@@ -229,16 +145,6 @@ int CapacityPool::in_use() const noexcept {
 
 int CapacityPool::peak_in_use() const noexcept {
   return peak_.load(std::memory_order_relaxed);
-}
-
-std::int64_t CapacityPool::stalls() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stalls_;
-}
-
-double CapacityPool::stall_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stall_seconds_;
 }
 
 std::int64_t CapacityPool::revocations() const noexcept {

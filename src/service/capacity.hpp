@@ -1,28 +1,17 @@
 // Global simulated-node capacity pool (service layer).
 //
 // A real MLaaS region does not have infinite machines: the fleet's
-// in-flight probes draw their nodes from one shared pool, and a probe
-// that would exceed it queues until running probes release enough
-// capacity. Queueing is strict FIFO (ticketed): a large probe at the
-// head is never starved by small probes arriving behind it, at the cost
-// of head-of-line blocking — the deterministic, explainable choice for
-// a scheduler whose decisions tenants will audit.
+// in-flight probes draw their nodes from one shared pool. A probe that
+// does not fit right now is refused, never blocked: the scheduler parks
+// its session in its own FIFO (service/dispatch.hpp) and restages it
+// once running probes release enough capacity.
 //
-// Admission is split into two paths:
-//
-//   * try_acquire — the probe-granularity scheduler's hot path — is
-//     lock-free while no blocked ticket waits: the pool's tokens live in
-//     cache-line-aligned atomic stripes, and an acquire gathers from its
-//     home stripe first, then steals from the others (bounded: one full
-//     scan), falling back to one mutex-serialized consolidation retry so
-//     two concurrent gatherers can never fragment each other into a
-//     spurious refusal (see capacity.cpp for the liveness argument).
-//   * acquire — the blocking job-per-lane path — keeps the ticketed
-//     FIFO queue under the pool mutex, exactly as before.
-//
-// The two disciplines compose through one rule: try_acquire refuses
-// outright whenever any blocked ticket is queued (an atomic waiter
-// count), so the lock-free path can never overtake the FIFO head.
+// try_acquire is lock-free on the uncontended path: the pool's tokens
+// live in cache-line-aligned atomic stripes, and an acquire gathers
+// from its home stripe first, then steals from the others (bounded: one
+// full scan), falling back to one mutex-serialized consolidation retry
+// so two concurrent gatherers can never fragment each other into a
+// spurious refusal (see capacity.cpp for the liveness argument).
 //
 // Capacity waits are *real wall-clock* scheduler time. They are never
 // charged to a job's simulated profiling clock or billing meter — a
@@ -33,14 +22,14 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
 
 namespace mlcd::service {
 
-/// Counting semaphore over simulated nodes with FIFO admission and a
-/// striped lock-free fast path.
+/// Non-blocking counting semaphore over simulated nodes with a striped
+/// lock-free fast path.
 class CapacityPool {
  public:
   /// Token stripes the capacity is spread over (power of two). Small
@@ -50,55 +39,33 @@ class CapacityPool {
   static constexpr int kTokenStripes = 8;
 
   /// `capacity_nodes` <= 0 means unlimited (every acquire succeeds
-  /// immediately); otherwise acquire(n) requires n <= capacity_nodes —
-  /// the scheduler validates workloads against this at admission so a
-  /// too-large probe can never wedge the queue.
+  /// immediately); otherwise try_acquire(n) requires n <= capacity_nodes
+  /// — the scheduler validates workloads against this at admission so a
+  /// too-large probe can never wedge the park queue.
   explicit CapacityPool(int capacity_nodes);
 
-  struct Admission {
-    bool stalled = false;        ///< the probe had to queue
-    double wait_seconds = 0.0;   ///< real wall-clock time spent queued
-  };
-
-  /// Blocks until `nodes` fit, FIFO order. Throws std::invalid_argument
-  /// when `nodes` exceeds the pool outright or is non-positive.
-  Admission acquire(int nodes);
-
-  /// Non-blocking acquire: takes `nodes` when they fit *right now* and
-  /// no blocked acquire() ticket is waiting (never overtakes the FIFO),
-  /// returns false otherwise without taking anything. Lock-free on the
-  /// uncontended path (atomic stripe gather with stealing); takes the
-  /// pool mutex only for the one serialized consolidation retry after a
-  /// contended shortfall. The probe-granularity scheduler uses this to
-  /// decide run-vs-park without ever blocking a lane; it keeps its own
-  /// FIFO of parked sessions, so the two queueing disciplines are never
-  /// mixed within one batch. Throws like acquire() on non-positive or
-  /// over-pool node counts.
+  /// Takes `nodes` when they fit *right now*, returns false otherwise
+  /// without taking anything. Lock-free on the uncontended path (atomic
+  /// stripe gather with stealing); takes the pool mutex only for the one
+  /// serialized consolidation retry after a contended shortfall. The
+  /// scheduler uses this to decide run-vs-park without ever blocking a
+  /// lane; FIFO fairness is its park queue's job. Throws
+  /// std::invalid_argument when `nodes` is non-positive or exceeds the
+  /// pool outright.
   bool try_acquire(int nodes);
 
-  /// Returns capacity acquired earlier. Never blocks; takes the pool
-  /// mutex only when a blocked ticket is actually waiting (free in
-  /// probe-granularity mode, which never blocks in acquire()).
-  ///
-  /// Wake-after-release ordering (audited, regression-tested in
-  /// tests/service_test.cpp): releasing wakes *all* queued tickets, but
-  /// the wait predicate requires `serving_ == ticket`, so waiters are
-  /// admitted strictly in ticket order no matter how the OS schedules
-  /// the wakeups — a later tenant's small probe can never slip past an
-  /// earlier tenant's large one. try_acquire observes the same
-  /// guarantee by refusing whenever any ticket is queued.
+  /// Returns capacity acquired earlier. Lock-free, never blocks.
   void release(int nodes) noexcept;
 
   /// Reserve-safe reclamation of a spot-revoked grant. Every grant
   /// handed out by this pool is revocable: the scheduler — not the
   /// holder — decides when simulated spot capacity is taken back.
   /// Returns the nodes exactly like release() (occupancy never
-  /// underflows, queued tickets are re-checked in strict FIFO order)
-  /// and additionally counts the revocation, so chaotic batches can
-  /// audit how much capacity churned. Only nodes actually in use are
-  /// counted: a revoke after the grant was already released (or a
-  /// double-revoke) reclaims nothing and leaves the ledger untouched.
-  /// Never blocks.
+  /// underflows) and additionally counts the revocation, so chaotic
+  /// batches can audit how much capacity churned. Only nodes actually
+  /// in use are counted: a revoke after the grant was already released
+  /// (or a double-revoke) reclaims nothing and leaves the ledger
+  /// untouched. Never blocks.
   void revoke(int nodes) noexcept;
 
   int capacity_nodes() const noexcept { return capacity_; }
@@ -106,9 +73,6 @@ class CapacityPool {
   int in_use() const noexcept;
   /// High-water mark of concurrent occupied nodes.
   int peak_in_use() const noexcept;
-  /// Probes that had to queue / their cumulative wall wait.
-  std::int64_t stalls() const;
-  double stall_seconds() const;
   /// Spot revocations absorbed / total nodes reclaimed through them.
   std::int64_t revocations() const noexcept;
   int revoked_nodes() const noexcept;
@@ -139,29 +103,16 @@ class CapacityPool {
   /// reclaimed (the release()/revoke() reserve-safe arithmetic).
   int clamp_release(int nodes) noexcept;
 
-  /// Wakes blocked tickets, taking the mutex so a waiter between its
-  /// predicate check and its wait cannot miss the notification. Only
-  /// called when waiters_ was observed nonzero.
-  void wake_waiters() noexcept;
-
   const int capacity_;
   std::array<TokenStripe, kTokenStripes> stripes_;
 
   std::atomic<int> in_use_{0};
   std::atomic<int> peak_{0};
-  /// Blocked acquire() tickets: incremented before a ticket first
-  /// waits, decremented only after it is admitted — so try_acquire
-  /// keeps refusing through the whole wake-and-recheck window.
-  std::atomic<int> waiters_{0};
   std::atomic<std::int64_t> revocations_{0};
   std::atomic<int> revoked_nodes_{0};
 
-  mutable std::mutex mutex_;
-  std::condition_variable turn_cv_;
-  std::uint64_t next_ticket_ = 0;   // next ticket to hand out
-  std::uint64_t serving_ = 0;       // ticket currently at the head
-  std::int64_t stalls_ = 0;
-  double stall_seconds_ = 0.0;
+  /// Serializes try_acquire's consolidation retry.
+  std::mutex mutex_;
 };
 
 }  // namespace mlcd::service

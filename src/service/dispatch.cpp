@@ -126,42 +126,6 @@ std::vector<ParkQueue::Resumed> ParkQueue::sweep_locked(CapacityPool& pool) {
 }
 
 // --------------------------------------------------------------------
-// CentralDispatcher
-// --------------------------------------------------------------------
-
-std::size_t CentralDispatcher::next_job(std::size_t /*lane*/) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    if (claims_->done()) return kNoJob;
-    if (!ready_.empty()) {
-      const std::size_t job = ready_.front();
-      ready_.pop_front();
-      return job;
-    }
-    const std::size_t fresh = claims_->try_claim();
-    if (fresh != kNoJob) return fresh;
-    cv_.wait(lock);
-  }
-}
-
-void CentralDispatcher::enqueue(std::size_t job, std::size_t /*owner_lane*/) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ready_.push_back(job);
-  }
-  cv_.notify_all();
-}
-
-void CentralDispatcher::on_job_finished() {
-  // Taken-and-dropped on purpose: a lane between its done()/claim check
-  // and cv_.wait holds mutex_, so ordering the notify behind the lock
-  // means it cannot miss the wakeup that lets it observe done() or a
-  // freed quota slot.
-  { std::lock_guard<std::mutex> lock(mutex_); }
-  cv_.notify_all();
-}
-
-// --------------------------------------------------------------------
 // ShardedDispatcher
 // --------------------------------------------------------------------
 

@@ -17,18 +17,16 @@
 //     CapacityPool::try_acquire. The lock is only taken to actually
 //     park or to sweep parked sessions back out — both inherently
 //     off the fast path.
-//   * Dispatcher — which session a free lane drives next. The sharded
-//     implementation gives every lane its own deque (own lock, own
-//     cache line) and steals from a victim when empty; the central
-//     implementation preserves the legacy single-queue behavior one
-//     release back for differential testing (--scheduler central).
+//   * ShardedDispatcher — which session a free lane drives next. Every
+//     lane owns a deque (own lock, own cache line) and steals from a
+//     victim when empty.
 //
 // Determinism: none of this machinery touches session state — it only
 // decides *which lane* drives a session next, and sessions are safe to
 // migrate between lanes (search::SearchSession's driver token makes the
 // handoff explicit). Per-job RunReports therefore stay bit-identical
-// across lane counts, dispatcher implementations, and steal schedules,
-// which the committed golden suite pins.
+// across lane counts and steal schedules, which the committed golden
+// suite pins.
 #pragma once
 
 #include <atomic>
@@ -49,7 +47,7 @@
 
 namespace mlcd::service {
 
-/// Sentinel "no job" index (dispatchers return it when the batch is
+/// Sentinel "no job" index (the dispatcher returns it when the batch is
 /// done; JobClaims returns it when nothing is claimable right now).
 inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 
@@ -67,7 +65,7 @@ class JobClaims {
 
   /// Marks job i finished: frees its tenant's quota slot and advances
   /// the completion count. The caller is responsible for waking idle
-  /// lanes afterwards (Dispatcher::on_job_finished).
+  /// lanes afterwards (ShardedDispatcher::on_job_finished).
   void finished(std::size_t job);
 
   /// Every job has finished. Lock-free (the dispatcher's idle loops
@@ -162,53 +160,6 @@ class ParkQueue {
   std::atomic<std::size_t> parked_count_{0};
 };
 
-/// Which session a free lane drives next. Implementations own the
-/// ready-session queue(s) and the idle-lane wakeup protocol; fresh jobs
-/// come from the shared JobClaims.
-class Dispatcher {
- public:
-  virtual ~Dispatcher() = default;
-
-  /// Blocks until a session is runnable on `lane` (its own queue, a
-  /// steal, or a fresh claim) or the batch is done (returns kNoJob).
-  virtual std::size_t next_job(std::size_t lane) = 0;
-
-  /// Routes a runnable session to `owner_lane`'s queue (park-resume,
-  /// crash re-stage, stall requeue). Any lane may call this for any
-  /// session; the queue lock hands the session state off to whichever
-  /// lane pops it.
-  virtual void enqueue(std::size_t job, std::size_t owner_lane) = 0;
-
-  /// Wakes idle lanes after JobClaims::finished: freed quota slots may
-  /// make fresh jobs claimable, and the last finish must let every lane
-  /// observe done() and exit.
-  virtual void on_job_finished() = 0;
-
-  /// Sessions taken from another lane's queue (0 for implementations
-  /// that have no notion of stealing).
-  virtual std::int64_t steals() const noexcept { return 0; }
-};
-
-/// The legacy central dispatcher: one queue, one mutex, one condition
-/// variable — PR 5's policy exactly (ready sessions before fresh
-/// claims, lowest-index-first). Kept one release behind
-/// `--scheduler central` as the differential-testing baseline the
-/// sharded dispatcher's bit-identity is checked against.
-class CentralDispatcher final : public Dispatcher {
- public:
-  explicit CentralDispatcher(JobClaims* claims) : claims_(claims) {}
-
-  std::size_t next_job(std::size_t lane) override;
-  void enqueue(std::size_t job, std::size_t owner_lane) override;
-  void on_job_finished() override;
-
- private:
-  JobClaims* claims_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::size_t> ready_;
-};
-
 /// Per-lane run queues with work stealing. Each lane owns a deque on
 /// its own cache line: it pops its own work from the front, steals from
 /// a victim's back when empty (classic owner-front/thief-back
@@ -225,15 +176,28 @@ class CentralDispatcher final : public Dispatcher {
 /// idle mutex and rescans instead of sleeping when work raced in: no
 /// lane ever idles while any run queue is non-empty, which the 16-lane
 /// stress test asserts at barrier checkpoints via sleeping_lanes() /
-/// queued().
-class ShardedDispatcher final : public Dispatcher {
+/// queued(). Fresh jobs come from the shared JobClaims.
+class ShardedDispatcher {
  public:
   ShardedDispatcher(std::size_t lanes, JobClaims* claims);
 
-  std::size_t next_job(std::size_t lane) override;
-  void enqueue(std::size_t job, std::size_t owner_lane) override;
-  void on_job_finished() override;
-  std::int64_t steals() const noexcept override {
+  /// Blocks until a session is runnable on `lane` (its own queue, a
+  /// steal, or a fresh claim) or the batch is done (returns kNoJob).
+  std::size_t next_job(std::size_t lane);
+
+  /// Routes a runnable session to `owner_lane`'s queue (park-resume,
+  /// crash re-stage, stall requeue). Any lane may call this for any
+  /// session; the queue lock hands the session state off to whichever
+  /// lane pops it.
+  void enqueue(std::size_t job, std::size_t owner_lane);
+
+  /// Wakes idle lanes after JobClaims::finished: freed quota slots may
+  /// make fresh jobs claimable, and the last finish must let every lane
+  /// observe done() and exit.
+  void on_job_finished();
+
+  /// Sessions taken from another lane's queue.
+  std::int64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
   }
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -288,160 +286,7 @@ std::vector<DurablePlan> plan_durable_batch(
 }
 
 // --------------------------------------------------------------------
-// Legacy job-per-lane mode
-// --------------------------------------------------------------------
-
-/// Per-job ProbeGate: cache lookup first, then (blocking) capacity
-/// admission. The cache and pool are shared (and internally locked);
-/// `stats` is the job's own and is only ever touched from the job's
-/// thread — the profiler calls the gate serially.
-class JobGate final : public profiler::ProbeGate {
- public:
-  JobGate(ProbeCache* cache, CapacityPool* capacity, JobStats* stats)
-      : cache_(cache), capacity_(capacity), stats_(stats) {}
-
-  std::optional<journal::ProbeRecord> admit(
-      const profiler::ProbeKey& key, const cloud::Deployment& d) override {
-    if (cache_ != nullptr) {
-      if (std::optional<journal::ProbeRecord> hit = cache_->lookup(key)) {
-        // Served, not launched: no capacity consumed, and the service-
-        // level ledger bills the measurement to the tenant that first
-        // ran it — this job only re-accounts it internally.
-        ++stats_->cache_hits;
-        stats_->reused_probe_cost += hit->profile_cost;
-        return hit;
-      }
-    }
-    const CapacityPool::Admission admission = capacity_->acquire(d.nodes);
-    if (admission.stalled) {
-      ++stats_->capacity_stalls;
-      stats_->capacity_stall_seconds += admission.wait_seconds;
-    }
-    return std::nullopt;
-  }
-
-  void publish(const profiler::ProbeKey& key, const cloud::Deployment& d,
-               const journal::ProbeRecord& outcome) override {
-    capacity_->release(d.nodes);
-    if (cache_ != nullptr) {
-      cache_->insert(key, outcome);
-      ++stats_->cache_publishes;
-    }
-  }
-
-  void abandon(const cloud::Deployment& d) noexcept override {
-    capacity_->release(d.nodes);
-  }
-
- private:
-  ProbeCache* cache_;
-  CapacityPool* capacity_;
-  JobStats* stats_;
-};
-
-/// The pre-ask/tell scheduler: one job owns one lane from claim to
-/// completion, blocking inside CapacityPool::acquire while its lane sits
-/// idle. Kept behind SchedulerOptions::probe_granularity = false as the
-/// baseline the scheduler-efficiency bench compares against. Returns
-/// the peak per-tenant concurrency.
-int run_job_mode(const system::Mlcd& mlcd, const SchedulerOptions& options,
-                 const Workload& workload, BatchReport& report,
-                 ProbeCache* cache, CapacityPool& capacity,
-                 util::ThreadPool& scan_pool, Clock::time_point batch_start) {
-  const std::size_t n = workload.jobs.size();
-
-  // Job claiming: workers pull the lowest-index unclaimed job whose
-  // tenant is under quota; when every unclaimed job is quota-blocked
-  // they sleep until some job completes. A quota slot is only ever held
-  // by a running job and running jobs always finish, so this cannot
-  // deadlock.
-  std::mutex mutex;
-  std::condition_variable claim_cv;
-  std::vector<bool> claimed(n, false);
-  std::map<std::string, int> tenant_running;
-  int peak_tenant = 0;
-
-  const auto claim_next = [&]() -> std::size_t {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      bool any_unclaimed = false;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (claimed[i]) continue;
-        any_unclaimed = true;
-        int& running = tenant_running[workload.jobs[i].tenant];
-        if (options.tenant_max_jobs > 0 &&
-            running >= options.tenant_max_jobs) {
-          continue;  // quota-blocked; later jobs may still be eligible
-        }
-        claimed[i] = true;
-        ++running;
-        peak_tenant = std::max(peak_tenant, running);
-        return i;
-      }
-      if (!any_unclaimed) return kNoJob;
-      claim_cv.wait(lock);
-    }
-  };
-  const auto complete = [&](std::size_t i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    --tenant_running[workload.jobs[i].tenant];
-    claim_cv.notify_all();
-  };
-
-  const int workers =
-      static_cast<int>(std::min<std::size_t>(options.threads, n));
-  util::ThreadPool pool(workers);
-  pool.parallel_for(
-      static_cast<std::size_t>(workers),
-      [&](std::size_t begin, std::size_t end) {
-        // One claim loop per worker lane (chunks are [w, w+1)).
-        for (std::size_t lane = begin; lane < end; ++lane) {
-          for (std::size_t i = claim_next(); i != kNoJob; i = claim_next()) {
-            const JobSpec& spec = workload.jobs[i];
-            JobOutcome& outcome = report.jobs[i];
-            outcome.stats.queue_wait_seconds = seconds_since(batch_start);
-            const Clock::time_point job_start = Clock::now();
-            JobGate gate(cache, &capacity, &outcome.stats);
-            system::JobRequest request = spec.request;
-            request.probe_gate = &gate;
-            request.scan_pool = &scan_pool;
-            try {
-              system::DeployResult result = mlcd.deploy(request);
-              if (result.ok()) {
-                outcome.ok = true;
-                outcome.report = std::move(result).report();
-              } else {
-                outcome.error_code = std::string(
-                    system::job_error_code_name(result.error().code));
-                outcome.error_message = result.error().message;
-              }
-            } catch (const std::exception& e) {
-              // One job's internal failure must not take the fleet down.
-              outcome.error_code = "internal";
-              outcome.error_message = e.what();
-            }
-            outcome.stats.run_seconds = seconds_since(job_start);
-            // The lane was occupied for the whole run except the time
-            // the gate spent blocked inside CapacityPool::acquire —
-            // which job-per-lane charges as *idle* lane time, the
-            // inefficiency probe granularity removes.
-            outcome.stats.lane_busy_seconds =
-                std::max(0.0, outcome.stats.run_seconds -
-                                  outcome.stats.capacity_stall_seconds);
-            if (!outcome.ok) {
-              MLCD_LOG(kWarn, "service")
-                  << "job '" << spec.name << "' failed ["
-                  << outcome.error_code << "]: " << outcome.error_message;
-            }
-            complete(i);
-          }
-        }
-      });
-  return peak_tenant;
-}
-
-// --------------------------------------------------------------------
-// Probe-granularity mode
+// The probe-granularity batch
 // --------------------------------------------------------------------
 
 class ProbeBatch;
@@ -450,9 +295,8 @@ class ProbeBatch;
 /// ProbeDriver::step runs, not inside the profiler: the lane stages
 /// either a cache hit or a pre-acquired capacity grant, then steps the
 /// session, and admit() merely consumes what was staged. This is what
-/// lets a lane decide run-vs-park without ever blocking: the blocking
-/// CapacityPool::acquire of JobGate is replaced by the scheduler's own
-/// parked-session FIFO.
+/// lets a lane decide run-vs-park without ever blocking: a probe that
+/// does not fit parks its session in the scheduler's own FIFO.
 ///
 /// Only the lane currently driving the session touches the staged state
 /// — except stage_admitted() from the sweep in release_and_sweep(),
@@ -533,8 +377,7 @@ class StagedGate final : public profiler::ProbeGate {
 /// so that no per-probe step ever takes a batch-wide lock: JobClaims
 /// (fresh jobs + tenant quotas, touched once per job lifetime),
 /// ParkQueue (the capacity FIFO with a lock-free admission fast path),
-/// and a Dispatcher (per-lane run queues with work stealing, or the
-/// legacy central queue behind --scheduler central).
+/// and ShardedDispatcher (per-lane run queues with work stealing).
 ///
 /// Liveness invariant: a session parks only while some other session
 /// holds pool capacity, capacity is only held across one
@@ -542,8 +385,7 @@ class StagedGate final : public profiler::ProbeGate {
 /// publish()/abandon() — which releases the nodes and sweeps the parked
 /// queue. So a parked session is always eventually restaged, and a
 /// restaged (enqueued) session is always eventually picked up by a
-/// lane: no deadlock, with the same strict-FIFO fairness the blocking
-/// pool gives job-per-lane mode.
+/// lane: no deadlock, and parked sessions resume in strict FIFO order.
 class ProbeBatch {
  public:
   /// `manifest` / `plans` are both null for a non-durable batch; for a
@@ -555,7 +397,6 @@ class ProbeBatch {
              ManifestHandle* manifest = nullptr,
              const std::vector<DurablePlan>* plans = nullptr)
       : mlcd_(&mlcd),
-        options_(&options),
         workload_(&workload),
         report_(&report),
         cache_(cache),
@@ -568,16 +409,12 @@ class ProbeBatch {
             static_cast<std::size_t>(options.threads),
             workload.jobs.size())),
         claims_(tenants_of(workload), options.tenant_max_jobs),
+        dispatcher_(lane_count_, &claims_),
         states_(workload.jobs.size()) {
     if (workload.chaos.enabled()) chaos_.emplace(workload.chaos);
     for (std::size_t i = 0; i < states_.size(); ++i) {
       states_[i].gate.bind(this, cache_, &report_->jobs[i].stats);
       states_[i].chaos_key = ChaosInjector::job_key(workload.jobs[i].name);
-    }
-    if (options.sharded_dispatch) {
-      dispatcher_ = std::make_unique<ShardedDispatcher>(lane_count_, &claims_);
-    } else {
-      dispatcher_ = std::make_unique<CentralDispatcher>(&claims_);
     }
   }
 
@@ -587,8 +424,8 @@ class ProbeBatch {
         lane_count_, [this](std::size_t begin, std::size_t end) {
           // One drive loop per lane (chunks are [w, w+1)).
           for (std::size_t lane = begin; lane < end; ++lane) {
-            for (std::size_t i = dispatcher_->next_job(lane); i != kNoJob;
-                 i = dispatcher_->next_job(lane)) {
+            for (std::size_t i = dispatcher_.next_job(lane); i != kNoJob;
+                 i = dispatcher_.next_job(lane)) {
               drive(i, lane);
             }
           }
@@ -596,7 +433,7 @@ class ProbeBatch {
   }
 
   int peak_tenant() const { return claims_.peak_tenant(); }
-  std::int64_t steals() const noexcept { return dispatcher_->steals(); }
+  std::int64_t steals() const noexcept { return dispatcher_.steals(); }
 
   /// Returns a finished probe's nodes to the pool and restages every
   /// parked session (FIFO) that now fits, handing each its capacity
@@ -656,7 +493,7 @@ class ProbeBatch {
     for (const ParkQueue::Resumed& r : resumed) {
       states_[r.job].gate.stage_admitted();
       report_->jobs[r.job].stats.capacity_stall_seconds += r.waited_seconds;
-      dispatcher_->enqueue(r.job, r.owner_lane);
+      dispatcher_.enqueue(r.job, r.owner_lane);
     }
   }
 
@@ -879,7 +716,7 @@ class ProbeBatch {
   /// stealing one — drives it next. The caller must have released the
   /// driver token (or replaced the session) first.
   void requeue(std::size_t i, std::size_t lane) {
-    dispatcher_->enqueue(i, lane);
+    dispatcher_.enqueue(i, lane);
   }
 
   /// Returns a staged-but-unused capacity grant to the pool (released
@@ -1019,11 +856,10 @@ class ProbeBatch {
           << outcome.error_code << "]: " << outcome.error_message;
     }
     claims_.finished(i);
-    dispatcher_->on_job_finished();
+    dispatcher_.on_job_finished();
   }
 
   const system::Mlcd* mlcd_;
-  const SchedulerOptions* options_;
   const Workload* workload_;
   BatchReport* report_;
   ProbeCache* cache_;
@@ -1041,7 +877,7 @@ class ProbeBatch {
   // see dispatch.hpp for what each one guards and why.
   JobClaims claims_;
   ParkQueue park_;
-  std::unique_ptr<Dispatcher> dispatcher_;
+  ShardedDispatcher dispatcher_;
 
   std::vector<JobState> states_;
 };
@@ -1101,26 +937,7 @@ BatchReport Scheduler::run(const Workload& workload) const {
     }
   }
 
-  // Chaos and SLO enforcement live at probe boundaries — only the
-  // probe-granularity scheduler has them. Refuse up front rather than
-  // silently running a chaotic workload fault-free.
   workload.chaos.validate();
-  bool slo_declared = false;
-  for (const JobSpec& spec : workload.jobs) {
-    slo_declared = slo_declared || spec.slo.enabled();
-  }
-  if ((workload.chaos.enabled() || slo_declared) &&
-      !options_.probe_granularity) {
-    throw std::invalid_argument(
-        "Scheduler: service-level chaos injection and SLO enforcement "
-        "require a probe-granularity scheduler (--scheduler sharded or "
-        "central)");
-  }
-  if (!options_.journal_dir.empty() && !options_.probe_granularity) {
-    throw std::invalid_argument(
-        "Scheduler: durable batches (--journal-dir) require a "
-        "probe-granularity scheduler (--scheduler sharded or central)");
-  }
   if (options_.resume && options_.journal_dir.empty()) {
     throw std::invalid_argument(
         "Scheduler: --resume requires --journal-dir (the manifest to "
@@ -1149,11 +966,6 @@ BatchReport Scheduler::run(const Workload& workload) const {
   report.threads = options_.threads;
   report.capacity_nodes = options_.capacity_nodes;
   report.tenant_max_jobs = options_.tenant_max_jobs;
-  report.probe_granularity = options_.probe_granularity;
-  report.scheduler_mode =
-      options_.probe_granularity
-          ? (options_.sharded_dispatch ? "sharded" : "central")
-          : "job";
   report.jobs.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     report.jobs[i].name = workload.jobs[i].name;
@@ -1178,20 +990,11 @@ BatchReport Scheduler::run(const Workload& workload) const {
   util::ThreadPool scan_pool(scan_threads);
 
   const Clock::time_point batch_start = Clock::now();
-  int peak_tenant = 0;
-  if (options_.probe_granularity) {
-    ProbeBatch batch(*mlcd_, options_, *active, report, shared_cache,
-                     capacity, scan_pool, batch_start,
-                     manifest_handle ? &*manifest_handle : nullptr,
-                     plans.empty() ? nullptr : &plans);
-    batch.run();
-    peak_tenant = batch.peak_tenant();
-    report.lane_steals = batch.steals();
-  } else {
-    peak_tenant = run_job_mode(*mlcd_, options_, workload, report,
-                               shared_cache, capacity, scan_pool,
-                               batch_start);
-  }
+  ProbeBatch batch(*mlcd_, options_, *active, report, shared_cache,
+                   capacity, scan_pool, batch_start,
+                   manifest_handle ? &*manifest_handle : nullptr,
+                   plans.empty() ? nullptr : &plans);
+  batch.run();
 
   // Settle the manifest write-failure policy only after every lane
   // drained: no in-memory job state depends on the manifest, so all
@@ -1215,7 +1018,8 @@ BatchReport Scheduler::run(const Workload& workload) const {
 
   report.makespan_seconds = seconds_since(batch_start);
   report.peak_capacity_nodes = capacity.peak_in_use();
-  report.peak_tenant_jobs = peak_tenant;
+  report.peak_tenant_jobs = batch.peak_tenant();
+  report.lane_steals = batch.steals();
   report.cache = cache.stats();
   MLCD_LOG(kInfo, "service")
       << "batch of " << n << " jobs done in " << report.makespan_seconds

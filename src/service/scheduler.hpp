@@ -7,11 +7,9 @@
 // time. A probe that does not fit the capacity pool right now *parks*
 // the session — the lane is released to drive some other job, and the
 // parked session resumes (FIFO) on whichever lane is free once running
-// probes return enough nodes. Compare the legacy job-per-lane mode
-// (SchedulerOptions::probe_granularity = false), where a capacity-
-// blocked job holds its lane idle for the whole wait.
+// probes return enough nodes, so no lane ever idles on a capacity wait.
 //
-// Either mode composes the pieces the service adds on top of
+// The scheduler composes the pieces the service adds on top of
 // `mlcd deploy`:
 //
 //   * admission control — a workload whose jobs could never fit the
@@ -20,21 +18,20 @@
 //     jobs run concurrently; eligible jobs of other tenants overtake
 //     quota-blocked ones (work-conserving);
 //   * a global capacity pool — concurrent simulated nodes across all
-//     in-flight probes; over-capacity probes queue (real wall time,
-//     never simulated time) rather than launch;
+//     in-flight probes; over-capacity probes park their session (real
+//     wall time, never simulated time) rather than launch;
 //   * a shared ProbeCache — identical probes are measured once and
 //     served to every later job, billing only the first tenant.
 //
-// The probe-granularity mode additionally hosts the service-level
-// fault domain (docs/chaos.md): a workload-declared ChaosInjector fires
-// lane crashes (session re-staged from its ask/tell state via replay,
-// zero probes re-executed), spot revocations (grant reclaimed, session
-// parked for elastic re-admission with service-billed backoff), probe-
-// result losses (recovered from the write-ahead record image), and
-// scheduler stalls — plus per-tenant SLO enforcement: a job over its
-// declared SLO is finalized early through the safe-mode path
-// (best-known deployment, typed "slo_exceeded") instead of aborting
-// the batch.
+// It also hosts the service-level fault domain (docs/chaos.md): a
+// workload-declared ChaosInjector fires lane crashes (session re-staged
+// from its ask/tell state via replay, zero probes re-executed), spot
+// revocations (grant reclaimed, session parked for elastic re-admission
+// with service-billed backoff), probe-result losses (recovered from the
+// write-ahead record image), and scheduler stalls — plus per-tenant SLO
+// enforcement: a job over its declared SLO is finalized early through
+// the safe-mode path (best-known deployment, typed "slo_exceeded")
+// instead of aborting the batch.
 //
 // The hard invariant, enforced by tests/service_test.cpp at every
 // thread count: each job's RunReport — trace included — is bit-identical
@@ -67,21 +64,6 @@ struct SchedulerOptions {
   /// Route probes through the shared cross-job cache (on by default;
   /// the bench switches it off to measure its contribution).
   bool share_probes = true;
-  /// Schedule at probe granularity (default): sessions park off their
-  /// lane while waiting for capacity, so lanes stay busy. false selects
-  /// the legacy job-per-lane mode — one job owns one lane from start to
-  /// finish, blocking in CapacityPool::acquire — kept for the
-  /// scheduler-efficiency bench comparison. Both modes produce
-  /// bit-identical per-job RunReports.
-  bool probe_granularity = true;
-  /// Probe-granularity dispatch style. true (default, `--scheduler
-  /// sharded`): per-lane run queues with work stealing — no
-  /// probe-granularity step takes a batch-wide lock. false
-  /// (`--scheduler central`): the legacy single-queue dispatcher, kept
-  /// one release behind for differential testing. Dispatch is
-  /// trace-neutral: both produce bit-identical per-job RunReports.
-  /// Ignored in job-per-lane mode.
-  bool sharded_dispatch = true;
   /// Probe-cache stripe count: 0 (default) picks
   /// ProbeCache::kDefaultStripes; otherwise must be a power of two
   /// (validated at construction). More stripes = less lock contention
@@ -91,10 +73,9 @@ struct SchedulerOptions {
   /// Non-empty makes the batch durable: the scheduler writes a
   /// write-ahead manifest (`batch.mlcdb`) plus one auto-managed run
   /// journal per job under this directory (created if missing), so a
-  /// killed `mlcd batch` process can be resumed. Requires the
-  /// probe-granularity scheduler; jobs declaring their own
-  /// journal/resume paths are refused at admission (the directory owns
-  /// every journal). See docs/crash-safety.md.
+  /// killed `mlcd batch` process can be resumed. Jobs declaring their
+  /// own journal/resume paths are refused at admission (the directory
+  /// owns every journal). See docs/crash-safety.md.
   std::string journal_dir;
   /// With journal_dir: resume the batch recorded in the manifest instead
   /// of starting fresh. Finished jobs replay their per-job journals

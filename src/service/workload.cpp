@@ -198,13 +198,18 @@ Workload parse_workload(std::string_view json) {
   Workload workload;
   if (doc.contains("chaos")) workload.chaos = parse_chaos(doc.at("chaos"));
   if (doc.contains("scheduler")) {
+    // One scheduler remains; the key only documents it. Files pinning a
+    // removed mode must fail loudly rather than silently run sharded.
     const std::string mode = doc.at("scheduler").as_string();
-    if (mode != "sharded" && mode != "central" && mode != "job" &&
-        mode != "probe") {
-      fail("'scheduler' must be \"sharded\", \"central\", \"job\", or the "
-           "legacy alias \"probe\" (got \"" + mode + "\")");
+    if (mode == "central" || mode == "job") {
+      fail("'scheduler' mode \"" + mode +
+           "\" was removed; every batch runs the sharded scheduler (drop "
+           "the key or write \"sharded\")");
     }
-    workload.scheduler_mode = mode;
+    if (mode != "sharded" && mode != "probe") {
+      fail("'scheduler' must be \"sharded\" or the legacy alias "
+           "\"probe\" (got \"" + mode + "\")");
+    }
   }
   if (doc.contains("cache_stripes")) {
     const int stripes = int_field(doc, "cache_stripes", 0, 0);

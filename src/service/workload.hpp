@@ -36,10 +36,10 @@
 //         "slo_max_probes": 30
 //       }
 //     ],
-//     "scheduler": "sharded",             // optional dispatch mode:
-//                                         //   "sharded" (default),
-//                                         //   "central", "job" — the
-//                                         //   --scheduler flag overrides
+//     "scheduler": "sharded",             // optional; the only mode
+//                                         //   ("probe" is an alias;
+//                                         //   "central" and "job" were
+//                                         //   removed and are refused)
 //     "cache_stripes": 16,                // optional probe-cache stripe
 //                                         //   count (power of two; the
 //                                         //   --cache-stripes flag
@@ -98,11 +98,6 @@ struct Workload {
 
   std::vector<JobSpec> jobs;
   ChaosOptions chaos;
-  /// Dispatch mode the workload asks for: "sharded", "central", "job",
-  /// or the legacy alias "probe" (= sharded). Empty = unset (the CLI
-  /// default or --scheduler flag decides). Committed fleet files can
-  /// pin the mode; the flag still overrides per run.
-  std::string scheduler_mode;
   /// Probe-cache stripe count the workload asks for: 0 = the built-in
   /// default, otherwise a power of two. -1 = unset (CLI decides).
   int cache_stripes = -1;

@@ -153,6 +153,27 @@ TEST(CliRun, UnknownCommandIsUsageError) {
   EXPECT_NE(err.find("unknown command"), std::string::npos);
 }
 
+TEST(CliRun, UnknownOptionIsUsageError) {
+  // A typo'd option must not silently run with the default it meant to
+  // override (here: an unlimited capacity pool), and --scheduler no
+  // longer exists. Both are refused before the workload file is read.
+  const struct {
+    std::vector<const char*> argv;
+    std::string option;
+  } cases[] = {
+      {{"batch", "w.json", "--capacty", "8"}, "--capacty"},
+      {{"batch", "w.json", "--scheduler", "job"}, "--scheduler"},
+      {{"deploy", "--model", "resnet", "--budjet", "100"}, "--budjet"},
+      {{"models", "--json"}, "--json"},  // valid for deploy, not models
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(drive(c.argv, nullptr, &err), 2) << c.option;
+    EXPECT_NE(err.find("unknown option " + c.option), std::string::npos)
+        << err;
+  }
+}
+
 TEST(CliRun, DeployRequiresModel) {
   std::string err;
   EXPECT_EQ(drive({"deploy"}, nullptr, &err), 2);

@@ -866,12 +866,6 @@ TEST(DurableBatch, RefusesJobsDeclaringTheirOwnJournals) {
 
 TEST(DurableBatch, OptionValidationIsStrict) {
   const system::Mlcd mlcd;
-  SchedulerOptions legacy;
-  legacy.journal_dir = fresh_dir("legacy");
-  legacy.probe_granularity = false;
-  EXPECT_THROW(Scheduler(mlcd, legacy).run(durable_fleet()),
-               std::invalid_argument);
-
   SchedulerOptions dirless;
   dirless.resume = true;
   EXPECT_THROW(Scheduler(mlcd, dirless).run(durable_fleet()),
@@ -882,7 +876,7 @@ TEST(DurableBatch, OptionValidationIsStrict) {
 
 TEST(CapacityRevocation, RevokeAfterReleaseLeavesLedgerUntouched) {
   CapacityPool pool(10);
-  pool.acquire(4);
+  ASSERT_TRUE(pool.try_acquire(4));
   pool.release(4);
   // The grant is already gone: a late revoke reclaims nothing.
   pool.revoke(4);
@@ -893,7 +887,7 @@ TEST(CapacityRevocation, RevokeAfterReleaseLeavesLedgerUntouched) {
 
 TEST(CapacityRevocation, DoubleRevokeCountsTheGrantOnce) {
   CapacityPool pool(10);
-  pool.acquire(4);
+  ASSERT_TRUE(pool.try_acquire(4));
   pool.revoke(4);
   pool.revoke(4);  // stray second revoke of the same grant
   EXPECT_EQ(pool.in_use(), 0);
@@ -903,7 +897,7 @@ TEST(CapacityRevocation, DoubleRevokeCountsTheGrantOnce) {
 
 TEST(CapacityRevocation, OverRevokeClampsToOccupancy) {
   CapacityPool pool(10);
-  pool.acquire(3);
+  ASSERT_TRUE(pool.try_acquire(3));
   pool.revoke(10);
   EXPECT_EQ(pool.in_use(), 0);
   EXPECT_EQ(pool.revoked_nodes(), 3);
@@ -911,7 +905,7 @@ TEST(CapacityRevocation, OverRevokeClampsToOccupancy) {
   EXPECT_TRUE(pool.try_acquire(10));
   pool.release(10);
   // Negative revokes are ignored outright.
-  pool.acquire(2);
+  ASSERT_TRUE(pool.try_acquire(2));
   pool.revoke(-5);
   EXPECT_EQ(pool.in_use(), 2);
   EXPECT_EQ(pool.revoked_nodes(), 3);

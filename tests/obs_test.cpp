@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "cli/cli.hpp"
 #include "obs/gate_metrics.hpp"
@@ -233,6 +236,32 @@ TEST(ObsRegistry, ResourceSeriesIncludesMemoryAccounting) {
   const HistoryRecord snap = reg.snapshot("pr9");
   EXPECT_EQ(snap.suite, "suite");
   EXPECT_GE(snap.hardware_threads, 1);
+}
+
+/// VmHWM from /proc/self/status, bytes; -1 when the line is absent.
+long long vm_hwm_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    long long kb = 0;
+    if (std::sscanf(line.c_str(), "VmHWM: %lld kB", &kb) == 1) {
+      return kb * 1024;
+    }
+  }
+  return -1;
+}
+
+TEST(ObsResource, PeakRssIsThisImagesHighWaterMark) {
+  // ru_maxrss would carry the peak of whatever process exec'd this
+  // binary; VmHWM starts afresh at exec. Bracket the call so a page the
+  // read itself faults in cannot fail the comparison.
+  const long long before = vm_hwm_bytes();
+  if (before < 0) GTEST_SKIP() << "no VmHWM in /proc/self/status";
+  const auto peak = static_cast<long long>(obs::peak_rss_bytes());
+  const long long after = vm_hwm_bytes();
+  const long long page = ::sysconf(_SC_PAGESIZE);
+  EXPECT_GE(peak + page, before);
+  EXPECT_LE(peak, after + page);
 }
 
 TEST(ObsResource, AllocCounterIsThreadSafeUnderThreadPool) {

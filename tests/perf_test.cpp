@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,13 @@ struct ScaleOutCase {
   const char* type;
   CommTopology topology;
 };
+
+// Prints the case by value. Without it gtest dumps the struct's raw
+// bytes — two string pointers and padding — so the parameterized test
+// names would change with every build and every address-space layout.
+void PrintTo(const ScaleOutCase& c, std::ostream* os) {
+  *os << c.model << ' ' << c.type << ' ' << comm_topology_name(c.topology);
+}
 
 class ScaleOutShape : public testing::TestWithParam<ScaleOutCase> {};
 

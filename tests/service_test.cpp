@@ -4,8 +4,6 @@
 // solo run of the same JobSpec, at any scheduler thread count.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,7 +12,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "journal/journal.hpp"
@@ -26,6 +23,7 @@
 #include "service/batch_report.hpp"
 #include "service/capacity.hpp"
 #include "service/chaos.hpp"
+#include "service/dispatch.hpp"
 #include "service/probe_cache.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
@@ -100,6 +98,17 @@ TEST(Workload, RejectsBadDocuments) {
   EXPECT_THROW(parse_workload(R"({"jobs": [
       {"name": "a", "model": "resnet", "max_nodes": 0}]})"),
                std::invalid_argument);
+  // Unknown scheduler mode.
+  EXPECT_THROW(parse_workload(R"({"scheduler": "fifo", "jobs": [
+      {"name": "a", "model": "resnet"}]})"),
+               std::invalid_argument);
+  // The only mode and its legacy alias still parse.
+  for (const char* mode : {"sharded", "probe"}) {
+    EXPECT_NO_THROW(parse_workload(std::string(R"({"scheduler": ")") + mode +
+                                   R"(", "jobs": [
+        {"name": "a", "model": "resnet"}]})"))
+        << mode;
+  }
 }
 
 TEST(Workload, ParsesSloAndChaos) {
@@ -173,6 +182,19 @@ TEST(Workload, RejectsTheRetiredFailureRateAlias) {
         << what;
     EXPECT_NE(what.find("launch_failure_per_node"), std::string::npos)
         << what;
+  }
+  // The removed scheduler modes fail the same way: a fleet file pinning
+  // one must not silently run under the sharded scheduler.
+  for (const char* mode : {"central", "job"}) {
+    try {
+      parse_workload(std::string(R"({"scheduler": ")") + mode + R"(", "jobs": [
+          {"name": "a", "model": "resnet"}]})");
+      FAIL() << "removed scheduler mode '" << mode << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("was removed"), std::string::npos) << what;
+      EXPECT_NE(what.find(mode), std::string::npos) << what;
+    }
   }
 }
 
@@ -284,21 +306,85 @@ TEST(ProbeCache, FirstWriterWins) {
 
 TEST(CapacityPool, UnlimitedTracksOccupancyOnly) {
   CapacityPool pool(0);
-  const auto a = pool.acquire(100);
-  EXPECT_FALSE(a.stalled);
+  ASSERT_TRUE(pool.try_acquire(100));
   EXPECT_EQ(pool.in_use(), 100);
-  pool.acquire(50);
+  ASSERT_TRUE(pool.try_acquire(50));
   EXPECT_EQ(pool.peak_in_use(), 150);
   pool.release(100);
   pool.release(50);
   EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.stalls(), 0);
 }
 
 TEST(CapacityPool, RejectsImpossibleRequests) {
   CapacityPool pool(10);
-  EXPECT_THROW(pool.acquire(0), std::invalid_argument);
-  EXPECT_THROW(pool.acquire(11), std::invalid_argument);
+  EXPECT_THROW(pool.try_acquire(0), std::invalid_argument);
+  EXPECT_THROW(pool.try_acquire(-1), std::invalid_argument);
+  EXPECT_THROW(pool.try_acquire(11), std::invalid_argument);
+  EXPECT_EQ(pool.in_use(), 0);
+}
+
+// The pool itself never blocks: a probe that does not fit waits in the
+// scheduler's park queue until running probes return their nodes.
+TEST(CapacityPool, QueuesUntilCapacityFrees) {
+  CapacityPool pool(10);
+  ParkQueue queue;
+  ASSERT_TRUE(queue.admit_or_park(pool, 0, 8, 0, nullptr));
+  EXPECT_EQ(pool.in_use(), 8);
+
+  int parks = 0;
+  // Job 1 needs 5 beside the 8: it parks instead of being admitted.
+  EXPECT_FALSE(queue.admit_or_park(pool, 1, 5, 2, [&] { ++parks; }));
+  EXPECT_EQ(parks, 1);
+  EXPECT_EQ(queue.parked(), 1u);
+  EXPECT_EQ(pool.in_use(), 8);
+
+  const auto resumed = queue.release_and_sweep(pool, 8);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0].job, 1u);
+  EXPECT_EQ(resumed[0].owner_lane, 2u);
+  EXPECT_GE(resumed[0].waited_seconds, 0.0);
+  EXPECT_EQ(queue.parked(), 0u);
+  EXPECT_EQ(pool.in_use(), 5);  // the resumed grant is already held
+  EXPECT_EQ(pool.peak_in_use(), 8);
+  pool.release(5);
+  EXPECT_EQ(pool.in_use(), 0);
+}
+
+TEST(CapacityPool, FifoWakeOrderSurvivesReleaseAndRevoke) {
+  for (const bool via_revoke : {false, true}) {
+    CapacityPool pool(10);
+    ParkQueue queue;
+    const auto give_back = [&](int nodes) {
+      return via_revoke ? queue.revoke_and_sweep(pool, nodes)
+                        : queue.release_and_sweep(pool, nodes);
+    };
+    ASSERT_TRUE(queue.admit_or_park(pool, 0, 10, 0, nullptr));
+    ASSERT_FALSE(queue.admit_or_park(pool, 1, 6, 0, nullptr));
+    ASSERT_FALSE(queue.admit_or_park(pool, 2, 5, 0, nullptr));
+
+    // Freeing 5 nodes would fit job 2 but not the head's 6: nobody is
+    // restaged, and a fitting newcomer must park rather than overtake.
+    EXPECT_TRUE(give_back(5).empty()) << "via_revoke=" << via_revoke;
+    EXPECT_FALSE(queue.admit_or_park(pool, 3, 1, 0, nullptr));
+    EXPECT_EQ(queue.parked(), 3u);
+
+    // Freeing the rest restages job 1 alone (6 + 5 still exceeds the
+    // pool, so job 2 keeps waiting behind it)...
+    auto resumed = give_back(5);
+    ASSERT_EQ(resumed.size(), 1u) << "via_revoke=" << via_revoke;
+    EXPECT_EQ(resumed[0].job, 1u);
+
+    // ... and job 1's own release restages job 2, then job 3.
+    resumed = queue.release_and_sweep(pool, 6);
+    ASSERT_EQ(resumed.size(), 2u) << "via_revoke=" << via_revoke;
+    EXPECT_EQ(resumed[0].job, 2u);
+    EXPECT_EQ(resumed[1].job, 3u);
+    EXPECT_EQ(queue.parked(), 0u);
+    EXPECT_EQ(pool.revocations(), via_revoke ? 2 : 0);
+    pool.release(5);
+    pool.release(1);
+    EXPECT_EQ(pool.in_use(), 0);
+  }
 }
 
 TEST(CapacityPool, TryAcquireNeverBlocksAndNeverOvertakes) {
@@ -313,55 +399,11 @@ TEST(CapacityPool, TryAcquireNeverBlocksAndNeverOvertakes) {
   pool.release(4);
   EXPECT_EQ(pool.in_use(), 0);
   EXPECT_EQ(pool.peak_in_use(), 10);
-  EXPECT_EQ(pool.stalls(), 0);  // try_acquire never stalls
-
-  // A blocked acquire() holds the FIFO head: try_acquire must refuse
-  // even a fitting request rather than overtake it.
-  EXPECT_FALSE(pool.acquire(8).stalled);
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&] {
-    pool.acquire(5);
-    admitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(pool.try_acquire(1));  // fits, but the waiter is ahead
-  pool.release(8);
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  pool.release(5);
 
   CapacityPool unlimited(0);
   EXPECT_TRUE(unlimited.try_acquire(1000));
   EXPECT_EQ(unlimited.in_use(), 1000);
   unlimited.release(1000);
-}
-
-TEST(CapacityPool, QueuesUntilCapacityFrees) {
-  CapacityPool pool(10);
-  EXPECT_FALSE(pool.acquire(8).stalled);
-  EXPECT_EQ(pool.in_use(), 8);
-
-  std::atomic<bool> admitted{false};
-  CapacityPool::Admission waiter_admission;
-  std::thread waiter([&] {
-    waiter_admission = pool.acquire(5);  // cannot fit beside the 8
-    admitted.store(true);
-  });
-  // The waiter must be stalled, not admitted.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(admitted.load());
-  EXPECT_EQ(pool.in_use(), 8);
-
-  pool.release(8);
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_TRUE(waiter_admission.stalled);
-  EXPECT_GT(waiter_admission.wait_seconds, 0.0);
-  EXPECT_EQ(pool.in_use(), 5);
-  EXPECT_EQ(pool.peak_in_use(), 8);
-  EXPECT_EQ(pool.stalls(), 1);
-  EXPECT_GT(pool.stall_seconds(), 0.0);
-  pool.release(5);
 }
 
 TEST(CapacityPool, RevokeReclaimsLikeReleaseAndCounts) {
@@ -381,90 +423,6 @@ TEST(CapacityPool, RevokeReclaimsLikeReleaseAndCounts) {
   EXPECT_EQ(pool.in_use(), 0);
   EXPECT_EQ(pool.revocations(), 1);
   EXPECT_EQ(pool.revoked_nodes(), 8);
-
-  // A blocked acquire() is woken by revoke() exactly as by release().
-  EXPECT_FALSE(pool.acquire(8).stalled);
-  std::atomic<bool> admitted{false};
-  std::thread waiter([&] {
-    pool.acquire(5);
-    admitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(admitted.load());
-  pool.revoke(8);
-  waiter.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(pool.in_use(), 5);
-  pool.release(5);
-}
-
-// Wake-after-release audit (see the release() doc comment): release
-// notifies *all* queued tickets, but the `serving_ == ticket` predicate
-// admits them strictly in ticket order — and try_acquire keeps refusing
-// while any ticket is queued, so it can never overtake either. The same
-// holds when the capacity returns via revoke().
-TEST(CapacityPool, FifoWakeOrderSurvivesReleaseAndRevoke) {
-  for (const bool via_revoke : {false, true}) {
-    CapacityPool pool(10);
-    EXPECT_FALSE(pool.acquire(10).stalled);
-
-    std::mutex order_mutex;
-    std::vector<int> order;
-    std::atomic<int> queued{0};
-    const auto enqueue = [&](int id, int nodes) {
-      return std::thread([&, id, nodes] {
-        ++queued;
-        pool.acquire(nodes);
-        std::lock_guard<std::mutex> lock(order_mutex);
-        order.push_back(id);
-      });
-    };
-    // Tickets are issued in acquire() call order; stagger the starts so
-    // that order is deterministic for the test.
-    std::thread first = enqueue(1, 6);
-    while (queued.load() < 1) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::thread second = enqueue(2, 5);
-    while (queued.load() < 2) std::this_thread::yield();
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-    // Freeing 5 nodes would fit ticket 2 (5 + 5 <= 10) but not the
-    // head's 6: nobody may be admitted, and try_acquire must refuse a
-    // fitting request too rather than overtake the queue.
-    if (via_revoke) {
-      pool.revoke(5);
-    } else {
-      pool.release(5);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    {
-      std::lock_guard<std::mutex> lock(order_mutex);
-      EXPECT_TRUE(order.empty()) << "via_revoke=" << via_revoke;
-    }
-    EXPECT_FALSE(pool.try_acquire(1));
-
-    // Freeing the rest admits ticket 1 alone (6 + 5 still exceeds the
-    // pool, so ticket 2 keeps waiting behind it)...
-    if (via_revoke) {
-      pool.revoke(5);
-    } else {
-      pool.release(5);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    {
-      std::lock_guard<std::mutex> lock(order_mutex);
-      ASSERT_EQ(order.size(), 1u) << "via_revoke=" << via_revoke;
-      EXPECT_EQ(order[0], 1);
-    }
-    // ... and ticket 1's own release finally admits ticket 2.
-    pool.release(6);
-    first.join();
-    second.join();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[1], 2) << "via_revoke=" << via_revoke;
-    pool.release(5);
-    EXPECT_EQ(pool.in_use(), 0);
-  }
 }
 
 // --------------------------------------------------------------- Scheduler
@@ -645,10 +603,9 @@ TEST(Scheduler, MixedFidelityJobsMatchSoloAndCountRungs) {
 
 // The probe-granularity tentpole's observable: under real capacity
 // pressure, sessions *park* — they leave their lane mid-search and
-// resume later — instead of blocking the lane the way job-per-lane mode
-// does, and every RunReport still comes out bit-identical between the
-// two modes. Exhaustive searchers keep all lanes issuing live probes of
-// 1..8 nodes back-to-back, so an 8-node pool is persistently contended.
+// resume later — instead of blocking the lane. Exhaustive searchers keep
+// all lanes issuing live probes of 1..8 nodes back-to-back, so an
+// 8-node pool is persistently contended.
 TEST(Scheduler, ParksSessionsInsteadOfBlockingLanes) {
   const system::Mlcd mlcd;
   const Workload workload = parse_workload(R"({
@@ -671,30 +628,16 @@ TEST(Scheduler, ParksSessionsInsteadOfBlockingLanes) {
   parked_mode.threads = 4;
   parked_mode.capacity_nodes = 8;
   parked_mode.share_probes = false;  // every probe live: maximal pressure
-  SchedulerOptions blocking_mode = parked_mode;
-  blocking_mode.probe_granularity = false;
 
   const BatchReport parked = Scheduler(mlcd, parked_mode).run(workload);
-  const BatchReport blocked = Scheduler(mlcd, blocking_mode).run(workload);
 
   ASSERT_EQ(parked.jobs.size(), 4u);
-  ASSERT_EQ(blocked.jobs.size(), 4u);
-  EXPECT_TRUE(parked.probe_granularity);
-  EXPECT_FALSE(blocked.probe_granularity);
-
-  // Sessions parked (lanes were freed); job-per-lane never parks.
+  // Sessions parked (lanes were freed).
   EXPECT_GT(parked.total_session_parks(), 0);
-  EXPECT_EQ(blocked.total_session_parks(), 0);
   EXPECT_LE(parked.peak_capacity_nodes, 8);
-  EXPECT_LE(blocked.peak_capacity_nodes, 8);
 
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(parked.jobs[i].ok) << parked.jobs[i].name;
-    ASSERT_TRUE(blocked.jobs[i].ok) << blocked.jobs[i].name;
-    // The mode is invisible to the job: reports are bit-identical.
-    EXPECT_EQ(parked.jobs[i].report.to_json(),
-              blocked.jobs[i].report.to_json())
-        << parked.jobs[i].name;
     const JobStats& stats = parked.jobs[i].stats;
     EXPECT_EQ(stats.capacity_stalls, stats.session_parks);
     // Parked time accrues off-lane: lane occupancy never exceeds the
@@ -966,24 +909,6 @@ TEST(ChaosService, SloDeadlineAndBudgetBreachesAreTyped) {
   EXPECT_EQ(report.jobs[1].slo, SloBreach::kBudget);
   EXPECT_EQ(report.jobs[1].report.result.trace.size(), 1u);
   EXPECT_EQ(report.slo_exceeded_count(), 2);
-}
-
-TEST(ChaosService, ChaosAndSloRequireProbeGranularity) {
-  const system::Mlcd mlcd;
-  SchedulerOptions legacy;
-  legacy.probe_granularity = false;
-  const Scheduler scheduler(mlcd, legacy);
-  EXPECT_THROW(
-      scheduler.run(one_job(R"({"seed": 1, "stall_rate": 0.5})")),
-      std::invalid_argument);
-  const Workload slo = parse_workload(R"({
-    "jobs": [{"name": "a", "model": "resnet", "deadline_hours": 24,
-              "slo_max_probes": 4}]
-  })");
-  EXPECT_THROW(scheduler.run(slo), std::invalid_argument);
-  // A fault-free, SLO-free workload still runs in legacy mode.
-  const BatchReport report = scheduler.run(small_fleet());
-  EXPECT_EQ(report.succeeded(), 4);
 }
 
 // ------------------------------------------------- seeded chaos sweep
