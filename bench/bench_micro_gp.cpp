@@ -2,9 +2,8 @@
 // BO searcher, as a function of how many probes have been collected.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
-
-#include "util/rng.hpp"
 
 #include "gp/gp_regressor.hpp"
 #include "util/rng.hpp"
@@ -50,7 +49,35 @@ void BM_GpFitWithMle(benchmark::State& state) {
     benchmark::DoNotOptimize(gp);
   }
 }
-BENCHMARK(BM_GpFitWithMle)->Range(8, 32);
+BENCHMARK(BM_GpFitWithMle)->Arg(8)->Arg(16)->Arg(32)->Arg(48);
+
+void BM_GpFitPerTypeMle(benchmark::State& state) {
+  // HeterBO's per-instance-type surrogate: a 1-D GP over the normalized
+  // node count with the bounded MLE the search refits after every probe
+  // (options as in src/search/heter_bo.cpp).
+  const std::size_t n = state.range(0);
+  util::Rng rng(19);
+  linalg::Matrix x(n, 1);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform();
+    y[i] = std::log(1.0 + 8.0 * x(i, 0)) - 0.6 * x(i, 0) + 0.02 * rng.normal();
+  }
+  gp::GpOptions options;
+  options.noise_stddev = 0.05;
+  options.optimizer_restarts = 2;
+  options.refit_every = 0;
+  options.log_param_lower = {std::log(0.1), std::log(0.05), std::log(1e-3)};
+  options.log_param_upper = {std::log(3.0), std::log(0.45), std::log(0.3)};
+  for (auto _ : state) {
+    auto kernel = std::make_unique<gp::Matern52Kernel>(1);
+    kernel->set_lengthscale(0, 0.25);
+    gp::GpRegressor gp(std::move(kernel), options);
+    gp.fit(x, y);
+    benchmark::DoNotOptimize(gp);
+  }
+}
+BENCHMARK(BM_GpFitPerTypeMle)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_GpPredict(benchmark::State& state) {
   linalg::Matrix x;

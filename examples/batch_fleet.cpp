@@ -17,8 +17,8 @@
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/examples/batch_fleet
 //
-// The same workload shape ships as JSON for the CLI:
-//   ./build/src/cli/mlcd batch examples/workloads/deadline_fleet.json \
+// The same workload shape ships as JSON for the CLI (one command line):
+//   ./build/src/cli/mlcd batch examples/workloads/deadline_fleet.json
 //       --threads 4 --capacity 40 --tenant-quota 2
 #include <cstdio>
 #include <string>

@@ -108,7 +108,10 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y,
   x_ = x;
   y_raw_ = y;
   noise_multipliers_ = noise_multipliers;
+  fit_stored();
+}
 
+void GpRegressor::fit_stored() {
   // Target normalization.
   y_mean_ = 0.0;
   y_scale_ = 1.0;
@@ -125,12 +128,15 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y,
     y_[i] = (y_raw_[i] - y_mean_) / y_scale_;
   }
 
+  // One covariance buffer serves every likelihood evaluation of this fit
+  // and is released on return, so the regressor keeps no extra n x n.
+  linalg::Matrix k(y_.size(), y_.size());
   if (options_.optimize_hyperparameters &&
       static_cast<int>(y_.size()) >=
           std::max(3, options_.hyperopt_min_obs)) {
-    optimize_hyperparameters();
+    optimize_hyperparameters(k);
   }
-  const double lml = refit_with_current_params();
+  const double lml = refit_with_current_params(k);
   if (!std::isfinite(lml)) {
     throw std::runtime_error(
         "GpRegressor::fit: covariance factorization failed");
@@ -140,16 +146,9 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y,
   lml_per_obs_at_refit_ = lml / static_cast<double>(y_.size());
 }
 
-double GpRegressor::refit_with_current_params() {
+double GpRegressor::refit_with_current_params(linalg::Matrix& k) {
   const std::size_t n = x_.rows();
-  linalg::Matrix k(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double v = (*kernel_)(x_.row(i), x_.row(j));
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
+  kernel_->gram(x_, k);
   if (homoscedastic_noise()) {
     // Bit-exact legacy path: every multi-fidelity-free fit lands here.
     k.add_to_diagonal(noise_stddev_ * noise_stddev_);
@@ -161,13 +160,17 @@ double GpRegressor::refit_with_current_params() {
   }
 
   try {
-    factor_.emplace(k);
+    if (factor_) {
+      factor_->refactor(k);
+    } else {
+      factor_.emplace(k);
+    }
   } catch (const std::runtime_error&) {
     factor_.reset();
     return -std::numeric_limits<double>::infinity();
   }
-  w_ = factor_->solve_lower(y_);
-  alpha_ = factor_->solve_lower_transpose(w_);
+  factor_->solve_lower_into(y_, w_);
+  factor_->solve_lower_transpose_into(w_, alpha_);
 
   const double fit_term = -0.5 * linalg::dot(y_, alpha_);
   const double complexity_term = -0.5 * factor_->log_determinant();
@@ -176,7 +179,7 @@ double GpRegressor::refit_with_current_params() {
   return fit_term + complexity_term + norm_term;
 }
 
-void GpRegressor::optimize_hyperparameters() {
+void GpRegressor::optimize_hyperparameters(linalg::Matrix& k) {
   // Parameter vector: kernel log-params followed by log noise stddev.
   std::vector<double> start = kernel_->log_params();
   start.push_back(std::log(noise_stddev_));
@@ -193,7 +196,7 @@ void GpRegressor::optimize_hyperparameters() {
         "GpOptions::log_param_upper size must match param count");
   }
 
-  auto objective = [this](const std::vector<double>& p) {
+  auto objective = [this, &k](const std::vector<double>& p) {
     // Reject pathological or out-of-bounds scales early; keeps Cholesky
     // jitter rare and stops the MLE collapsing to flat overconfident fits.
     for (std::size_t i = 0; i < p.size(); ++i) {
@@ -211,7 +214,7 @@ void GpRegressor::optimize_hyperparameters() {
     kernel_->set_log_params(
         std::span<const double>(p.data(), p.size() - 1));
     noise_stddev_ = std::exp(p.back());
-    return -refit_with_current_params();
+    return -refit_with_current_params(k);
   };
 
   if (!options_.log_param_lower.empty()) {
@@ -271,18 +274,12 @@ void GpRegressor::add_observation(std::span<const double> x, double y,
         "and > 0");
   }
 
-  // Grow the stored design matrix and raw targets.
-  linalg::Matrix grown(x_.rows() + 1, x_.cols());
-  for (std::size_t r = 0; r < x_.rows(); ++r) {
-    for (std::size_t c = 0; c < x_.cols(); ++c) grown(r, c) = x_(r, c);
-  }
-  for (std::size_t c = 0; c < x_.cols(); ++c) {
-    grown(x_.rows(), c) = x[c];
-  }
-  linalg::Vector y_grown = y_raw_;
-  y_grown.push_back(y);
-  linalg::Vector m_grown = noise_multipliers_;
-  m_grown.push_back(noise_multiplier);
+  // Grow the stored design matrix and raw targets in place; rows 0..n-1
+  // are the observations the current factor covers.
+  const std::size_t n = x_.rows();
+  x_.append_row(x);
+  y_raw_.push_back(y);
+  noise_multipliers_.push_back(noise_multiplier);
 
   // Hyperparameters and the target normalization are functions of the
   // whole data set; on the retune schedule a full refit is the correct
@@ -296,7 +293,7 @@ void GpRegressor::add_observation(std::span<const double> x, double y,
        (options_.refit_every > 1 &&
         adds_since_refit_ + 1 >= options_.refit_every));
   if (scheduled_refit) {
-    fit(grown, y_grown, m_grown);
+    fit_stored();
     return;
   }
 
@@ -304,7 +301,6 @@ void GpRegressor::add_observation(std::span<const double> x, double y,
   // covariance column and refresh alpha (one triangular solve plus an
   // O(n) forward-solve append, O(n²) total). Hyperparameters and the
   // normalization constants stay frozen until the next scheduled retune.
-  const std::size_t n = x_.rows();
   linalg::Vector col(n);
   for (std::size_t i = 0; i < n; ++i) {
     col[i] = (*kernel_)(x_.row(i), x);
@@ -324,16 +320,13 @@ void GpRegressor::add_observation(std::span<const double> x, double y,
     MLCD_LOG(kDebug, "gp")
         << "incremental update rejected (ill-conditioned border), "
            "falling back to full refit";
-    fit(grown, y_grown, m_grown);
+    fit_stored();
     return;
   }
 
-  x_ = std::move(grown);
-  y_raw_ = std::move(y_grown);
-  noise_multipliers_ = std::move(m_grown);
   y_.push_back((y_raw_.back() - y_mean_) / y_scale_);
   factor_->extend_solve_lower(w_, y_);
-  alpha_ = factor_->solve_lower_transpose(w_);
+  factor_->solve_lower_transpose_into(w_, alpha_);
   ++adds_since_refit_;
 
   if (!params_static && options_.refit_evidence_drop > 0.0) {
@@ -356,13 +349,11 @@ void GpRegressor::refit_full(bool retune_hyperparameters) {
     throw std::logic_error("GpRegressor::refit_full: call fit() first");
   }
   if (retune_hyperparameters) {
-    const linalg::Matrix x = x_;
-    const linalg::Vector y = y_raw_;
-    const linalg::Vector m = noise_multipliers_;
-    fit(x, y, m);
+    fit_stored();
     return;
   }
-  const double lml = refit_with_current_params();
+  linalg::Matrix k(x_.rows(), x_.rows());
+  const double lml = refit_with_current_params(k);
   if (!std::isfinite(lml)) {
     throw std::runtime_error(
         "GpRegressor::refit_full: covariance factorization failed");

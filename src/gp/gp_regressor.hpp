@@ -161,11 +161,19 @@ class GpRegressor {
   double noise_stddev() const noexcept { return noise_stddev_; }
 
  private:
-  /// Builds K(X, X) + sigma_n^2 diag(m^2) and factorizes; returns log
-  /// marginal likelihood, or -inf when the factorization fails.
-  double refit_with_current_params();
+  /// fit() on the stored observations: target normalization, the MLE
+  /// when enabled, and the final factorization.
+  void fit_stored();
 
-  void optimize_hyperparameters();
+  /// Builds K(X, X) + sigma_n^2 diag(m^2) in `k` (the caller's scratch,
+  /// reused across calls so an MLE evaluation allocates nothing) and
+  /// factorizes; returns log marginal likelihood, or -inf when the
+  /// factorization fails.
+  double refit_with_current_params(linalg::Matrix& k);
+
+  /// Multi-start Nelder–Mead over the log marginal likelihood; every
+  /// evaluation refits through the scratch `k`.
+  void optimize_hyperparameters(linalg::Matrix& k);
 
   /// True when every stored noise multiplier is exactly 1.0 — the
   /// homoscedastic case, which must keep the legacy bit-exact

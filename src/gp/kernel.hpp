@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "linalg/matrix.hpp"
+
 namespace mlcd::gp {
 
 /// Interface for positive-definite stationary kernels k(x, x').
@@ -23,6 +25,12 @@ class Kernel {
   /// Covariance between two points of the same dimensionality.
   virtual double operator()(std::span<const double> a,
                             std::span<const double> b) const = 0;
+
+  /// Fills `out` with the Gram matrix out(i, j) = k(x_i, x_j) over the
+  /// rows of `x` — one virtual call per fill instead of one per entry.
+  /// Every entry is bit-identical to operator() on the same pair. `out`
+  /// is reallocated only when it is not already n x n.
+  virtual void gram(const linalg::Matrix& x, linalg::Matrix& out) const = 0;
 
   /// Human-readable name ("matern52", ...).
   virtual std::string name() const = 0;
@@ -74,6 +82,11 @@ class ArdStationaryKernel : public Kernel {
   double scaled_distance(std::span<const double> a,
                          std::span<const double> b) const;
 
+  /// The Gram fill shared by the concrete kernels: operator()'s per-entry
+  /// arithmetic with the radial profile bound at compile time.
+  template <double (*Radial)(double)>
+  void fill_gram(const linalg::Matrix& x, linalg::Matrix& out) const;
+
   double signal_stddev_ = 1.0;
   std::vector<double> lengthscales_;
 };
@@ -85,6 +98,7 @@ class SquaredExponentialKernel final : public ArdStationaryKernel {
   using ArdStationaryKernel::ArdStationaryKernel;
   std::string name() const override { return "squared_exponential"; }
   std::unique_ptr<Kernel> clone() const override;
+  void gram(const linalg::Matrix& x, linalg::Matrix& out) const override;
 
  protected:
   double radial(double r) const override;
@@ -97,6 +111,7 @@ class Matern32Kernel final : public ArdStationaryKernel {
   using ArdStationaryKernel::ArdStationaryKernel;
   std::string name() const override { return "matern32"; }
   std::unique_ptr<Kernel> clone() const override;
+  void gram(const linalg::Matrix& x, linalg::Matrix& out) const override;
 
  protected:
   double radial(double r) const override;
@@ -110,6 +125,7 @@ class Matern52Kernel final : public ArdStationaryKernel {
   using ArdStationaryKernel::ArdStationaryKernel;
   std::string name() const override { return "matern52"; }
   std::unique_ptr<Kernel> clone() const override;
+  void gram(const linalg::Matrix& x, linalg::Matrix& out) const override;
 
  protected:
   double radial(double r) const override;

@@ -43,11 +43,18 @@ NelderMeadResult nelder_mead(
     values[i] = safe_eval(objective, simplex[i]);
   }
 
+  // Work vectors live for the whole call: an iteration allocates nothing
+  // beyond what the objective itself does.
+  std::vector<std::size_t> order(n + 1);
+  std::vector<double> centroid(n);
+  std::vector<double> reflected(n);
+  std::vector<double> expanded(n);
+  std::vector<double> contracted(n);
+
   NelderMeadResult result;
   int iter = 0;
   for (; iter < options.max_iterations; ++iter) {
     // Order vertices by objective value.
-    std::vector<std::size_t> order(n + 1);
     for (std::size_t i = 0; i <= n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(),
               [&](std::size_t a, std::size_t b) {
@@ -73,26 +80,24 @@ NelderMeadResult nelder_mead(
     }
 
     // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
+    std::fill(centroid.begin(), centroid.end(), 0.0);
     for (std::size_t i = 0; i <= n; ++i) {
       if (i == worst) continue;
       for (std::size_t k = 0; k < n; ++k) centroid[k] += simplex[i][k];
     }
     for (double& c : centroid) c /= static_cast<double>(n);
 
-    auto blend = [&](double coeff) {
-      std::vector<double> p(n);
+    auto blend = [&](double coeff, std::vector<double>& p) {
       for (std::size_t k = 0; k < n; ++k) {
         p[k] = centroid[k] + coeff * (simplex[worst][k] - centroid[k]);
       }
-      return p;
     };
 
-    const std::vector<double> reflected = blend(-alpha);
+    blend(-alpha, reflected);
     const double f_reflected = safe_eval(objective, reflected);
 
     if (f_reflected < values[best]) {
-      const std::vector<double> expanded = blend(-gamma);
+      blend(-gamma, expanded);
       const double f_expanded = safe_eval(objective, expanded);
       if (f_expanded < f_reflected) {
         simplex[worst] = expanded;
@@ -109,7 +114,7 @@ NelderMeadResult nelder_mead(
       continue;
     }
 
-    const std::vector<double> contracted = blend(rho);
+    blend(rho, contracted);
     const double f_contracted = safe_eval(objective, contracted);
     if (f_contracted < values[worst]) {
       simplex[worst] = contracted;

@@ -1,5 +1,6 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,30 +9,35 @@
 namespace mlcd::linalg {
 
 CholeskyFactor::CholeskyFactor(const Matrix& a, int max_jitter_scalings) {
+  refactor(a, max_jitter_scalings);
+}
+
+void CholeskyFactor::refactor(const Matrix& a, int max_jitter_scalings) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("CholeskyFactor: matrix is not square");
   }
   if (a.rows() == 0) {
     throw std::invalid_argument("CholeskyFactor: empty matrix");
   }
-
-  if (auto l = try_factor(a)) {
-    l_ = std::move(*l);
-    return;
-  }
+  // Same dimension: every entry of the lower triangle is rewritten before
+  // it is read and the strict upper triangle stays zero, so reusing the
+  // storage gives the factor fresh storage would, bit for bit.
+  if (l_.rows() != a.rows()) l_ = Matrix(a.rows(), a.rows());
+  jitter_ = 0.0;
+  if (try_factor(a, l_)) return;
 
   double mean_diag = 0.0;
   for (std::size_t i = 0; i < a.rows(); ++i) mean_diag += a(i, i);
   mean_diag /= static_cast<double>(a.rows());
   double jitter = 1e-12 * std::max(mean_diag, 1.0);
 
+  Matrix jittered;
   for (int attempt = 0; attempt < max_jitter_scalings; ++attempt) {
-    Matrix jittered = a;
+    jittered = a;
     jittered.add_to_diagonal(jitter);
-    if (auto l = try_factor(jittered)) {
+    if (try_factor(jittered, l_)) {
       MLCD_LOG(kDebug, "linalg")
           << "Cholesky succeeded with jitter " << jitter;
-      l_ = std::move(*l);
       jitter_ = jitter;
       return;
     }
@@ -41,22 +47,23 @@ CholeskyFactor::CholeskyFactor(const Matrix& a, int max_jitter_scalings) {
       "CholeskyFactor: matrix not positive definite even with jitter");
 }
 
-std::optional<Matrix> CholeskyFactor::try_factor(const Matrix& a) {
+bool CholeskyFactor::try_factor(const Matrix& a, Matrix& l) {
   const std::size_t n = a.rows();
-  Matrix l(n, n);
   for (std::size_t j = 0; j < n; ++j) {
+    const double* lj = &l(j, 0);
     double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (!(diag > 0.0) || !std::isfinite(diag)) return std::nullopt;
+    for (std::size_t k = 0; k < j; ++k) diag -= lj[k] * lj[k];
+    if (!(diag > 0.0) || !std::isfinite(diag)) return false;
     const double ljj = std::sqrt(diag);
     l(j, j) = ljj;
     for (std::size_t i = j + 1; i < n; ++i) {
+      double* li = &l(i, 0);
       double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      l(i, j) = s / ljj;
+      for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
+      li[j] = s / ljj;
     }
   }
-  return l;
+  return true;
 }
 
 Vector CholeskyFactor::solve(const Vector& b) const {
@@ -64,32 +71,46 @@ Vector CholeskyFactor::solve(const Vector& b) const {
 }
 
 Vector CholeskyFactor::solve_lower(const Vector& b) const {
-  const std::size_t n = dim();
-  if (b.size() != n) {
-    throw std::invalid_argument("CholeskyFactor::solve_lower: size mismatch");
-  }
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * y[k];
-    y[i] = s / l_(i, i);
-  }
+  Vector y;
+  solve_lower_into(b, y);
   return y;
 }
 
 Vector CholeskyFactor::solve_lower_transpose(const Vector& y) const {
+  Vector x;
+  solve_lower_transpose_into(y, x);
+  return x;
+}
+
+void CholeskyFactor::solve_lower_into(std::span<const double> b,
+                                      Vector& y) const {
+  const std::size_t n = dim();
+  if (b.size() != n) {
+    throw std::invalid_argument("CholeskyFactor::solve_lower: size mismatch");
+  }
+  y.resize(n);
+  const double* l = l_.data().data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l + i * n;
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
+    y[i] = s / li[i];
+  }
+}
+
+void CholeskyFactor::solve_lower_transpose_into(std::span<const double> y,
+                                                Vector& x) const {
   const std::size_t n = dim();
   if (y.size() != n) {
     throw std::invalid_argument(
         "CholeskyFactor::solve_lower_transpose: size mismatch");
   }
-  Vector x(n);
+  x.resize(n);
   for (std::size_t ii = n; ii-- > 0;) {
     double s = y[ii];
     for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
     x[ii] = s / l_(ii, ii);
   }
-  return x;
 }
 
 double CholeskyFactor::log_determinant() const {

@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -22,6 +22,16 @@ class CholeskyFactor {
   /// Throws std::invalid_argument for non-square input and
   /// std::runtime_error when the matrix is not PD even at maximum jitter.
   explicit CholeskyFactor(const Matrix& a, int max_jitter_scalings = 10);
+
+  /// Replaces this factor with the constructor's factorization of `a`,
+  /// bit for bit. When `a` has the current dimension the plain
+  /// factorization writes into the existing storage, so a caller that
+  /// refits the same-size covariance many times (the GP hyperparameter
+  /// MLE) allocates nothing; a dimension change reallocates, and only
+  /// the escalating-jitter retry copies `a`. `a` must not be lower()
+  /// itself. Throws like the constructor; after a throw the factor is
+  /// unusable until a refactor() succeeds.
+  void refactor(const Matrix& a, int max_jitter_scalings = 10);
 
   /// The lower-triangular factor.
   const Matrix& lower() const noexcept { return l_; }
@@ -39,6 +49,16 @@ class CholeskyFactor {
 
   /// Solves L^T x = y (backward substitution).
   Vector solve_lower_transpose(const Vector& y) const;
+
+  /// solve_lower() into `y`, resized to dim() — no allocation once `y`
+  /// has the capacity. Bit-identical to the returning form. `y` must not
+  /// alias `b`.
+  void solve_lower_into(std::span<const double> b, Vector& y) const;
+
+  /// solve_lower_transpose() into `x`, same contract as
+  /// solve_lower_into().
+  void solve_lower_transpose_into(std::span<const double> y,
+                                  Vector& x) const;
 
   /// log det(A + jitter I) = 2 * sum_i log L_ii.
   double log_determinant() const;
@@ -76,9 +96,10 @@ class CholeskyFactor {
   void extend_solve_lower(Vector& partial, std::span<const double> b) const;
 
  private:
-  /// Attempts a plain factorization; returns std::nullopt when a
-  /// non-positive pivot is hit.
-  static std::optional<Matrix> try_factor(const Matrix& a);
+  /// Plain factorization of `a` into the lower triangle of `l` (n x n,
+  /// strictly upper triangle zero); returns false when a non-positive
+  /// pivot is hit, leaving `l` partially written.
+  static bool try_factor(const Matrix& a, Matrix& l);
 
   Matrix l_;
   double jitter_ = 0.0;

@@ -113,6 +113,15 @@ Matrix Matrix::operator-(const Matrix& other) const {
   return out;
 }
 
+void Matrix::append_row(std::span<const double> values) {
+  if (rows_ == 0 && cols_ == 0) cols_ = values.size();
+  if (values.size() != cols_) {
+    throw std::invalid_argument("Matrix::append_row: size mismatch");
+  }
+  data_.insert(data_.end(), values.begin(), values.end());
+  ++rows_;
+}
+
 void Matrix::add_to_diagonal(double value) {
   if (rows_ != cols_) {
     throw std::invalid_argument("add_to_diagonal: matrix is not square");

@@ -67,6 +67,11 @@ class Matrix {
   Matrix operator+(const Matrix& other) const;
   Matrix operator-(const Matrix& other) const;
 
+  /// Appends one row in place (amortized O(cols), no copy of the
+  /// existing rows); `values` must have cols() entries. An empty 0 x 0
+  /// matrix takes its column count from the first row.
+  void append_row(std::span<const double> values);
+
   /// Adds `value` to every diagonal entry (square matrices only).
   void add_to_diagonal(double value);
 

@@ -481,7 +481,8 @@ ProfileResult Profiler::profile_live(const perf::TrainingConfig& config,
       int extensions = 0;
       double attempt_hours = 0.0;
     };
-    auto state = std::make_shared<MeasureState>(MeasureState{probe_rng});
+    auto state = std::make_shared<MeasureState>(
+        MeasureState{probe_rng, stats::RunningStats{}, 0, 0.0});
     state->extensions = result.extensions;
     state->attempt_hours = planned;
     // Fidelity semantics, each on an is_full() branch so the full path

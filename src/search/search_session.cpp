@@ -307,7 +307,7 @@ bool SearchSession::reserve_allows(double extra_hours,
       // divides the optimistic speed back down, so the reserved
       // completion is conservative. (Ladder-free runs never enter this
       // scan — every feasible step is full-fidelity.)
-      double best_objective = -std::numeric_limits<double>::infinity();
+      double best_fallback_objective = -std::numeric_limits<double>::infinity();
       for (const ProbeStep& step : trace_) {
         if (!step.feasible || step.fidelity.is_full()) continue;
         const double h = corrected_projected_training_hours(step);
@@ -317,8 +317,8 @@ bool SearchSession::reserve_allows(double extra_hours,
             (!s.has_budget() || cum_cost_ + c <= s.budget_dollars);
         if (!compliant) continue;
         const double objective = objective_of(step);
-        if (objective > best_objective) {
-          best_objective = objective;
+        if (objective > best_fallback_objective) {
+          best_fallback_objective = objective;
           reserve_hours = h;
           reserve_cost = c;
         }

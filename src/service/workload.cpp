@@ -133,10 +133,10 @@ JobSpec parse_job(const util::JsonValue& job, std::size_t index) {
          "('launch_failure_per_node' via the CLI fault knobs) instead");
   }
   if (job.contains("fidelity_rungs")) {
-    const std::string spec = job.at("fidelity_rungs").as_string();
+    const std::string rungs = job.at("fidelity_rungs").as_string();
     try {
       r.profiler_options.fidelity.rungs =
-          profiler::parse_fidelity_rungs(spec);
+          profiler::parse_fidelity_rungs(rungs);
     } catch (const std::invalid_argument& e) {
       fail(owner + ": " + e.what());
     }

@@ -1,14 +1,18 @@
 // Unit and property tests for src/gp: kernels, Nelder–Mead, GP regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <numbers>
 #include <vector>
 
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
 #include "gp/nelder_mead.hpp"
 #include "linalg/cholesky.hpp"
+#include "obs/resource.hpp"
 #include "util/rng.hpp"
 
 namespace mlcd::gp {
@@ -79,6 +83,42 @@ TEST_P(KernelPsd, GramMatrixIsPsd) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelPsd, testing::Range(0, 8));
+
+// Property: the one-call Gram fill equals operator() on every pair, bit
+// for bit, for each kernel at d = 1..3 with non-unit hyperparameters,
+// whatever shape the output buffer had before.
+TEST(Kernel, GramFillMatchesPairwiseCalls) {
+  util::Rng rng(60);
+  for (std::size_t d = 1; d <= 3; ++d) {
+    for (const auto& k : all_kernels(d)) {
+      std::vector<double> lp(k->param_count());
+      for (auto& v : lp) v = rng.uniform(-1.5, 1.5);
+      k->set_log_params(lp);
+      const std::size_t n = 13;
+      linalg::Matrix pts(n, d);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t c = 0; c < d; ++c) pts(i, c) = rng.uniform(-2, 2);
+      }
+      for (std::size_t c = 0; c < d; ++c) pts(n - 1, c) = pts(3, c);
+      linalg::Matrix out(2, 5, 7.0);
+      for (int pass = 0; pass < 2; ++pass) {  // reshape, then reuse
+        k->gram(pts, out);
+        ASSERT_EQ(out.rows(), n);
+        ASSERT_EQ(out.cols(), n);
+        int diffs = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            if (!(out(i, j) == (*k)(pts.row(i), pts.row(j)))) ++diffs;
+          }
+        }
+        EXPECT_EQ(diffs, 0) << k->name() << " d=" << d;
+      }
+    }
+  }
+  linalg::Matrix out;
+  EXPECT_THROW(Matern52Kernel(2).gram(linalg::Matrix(3, 1), out),
+               std::invalid_argument);
+}
 
 TEST(Kernel, LogParamRoundTrip) {
   Matern52Kernel k(3);
@@ -295,6 +335,125 @@ TEST(GpRegressor, CopyIsIndependent) {
   // Refit the original with different data; the copy must not change.
   gp.fit(x, linalg::Vector{5.0, 5.0});
   EXPECT_NEAR(copy.predict(std::vector<double>{1.0}).mean, 1.0, 0.1);
+}
+
+// The MLE refits the covariance in place hundreds of times; the model it
+// ends with must be bit-identical to a fresh factorization of the
+// per-pair kernel matrix under the tuned hyperparameters — for the
+// homoscedastic and the heteroscedastic noise paths.
+TEST(GpRegressor, TunedFitMatchesFreshFactorization) {
+  util::Rng rng(31);
+  const std::size_t n = 20;
+  linalg::Matrix x(n, 2);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform();
+    x(i, 1) = rng.uniform();
+    y[i] = std::sin(5.0 * x(i, 0)) + x(i, 1) + 0.05 * rng.normal();
+  }
+  for (const double multiplier : {1.0, 2.5}) {
+    linalg::Vector m(n, 1.0);
+    for (std::size_t i = 0; i < n; i += 3) m[i] = multiplier;
+    GpOptions options;
+    options.normalize_targets = false;  // keeps y in model space
+    GpRegressor gp(std::make_unique<Matern52Kernel>(2), options);
+    gp.fit(x, y, m);
+
+    const Kernel& k = gp.kernel();
+    const double noise = gp.noise_stddev();
+    linalg::Matrix cov(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) cov(i, j) = k(x.row(i), x.row(j));
+    }
+    if (multiplier == 1.0) {
+      cov.add_to_diagonal(noise * noise);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        cov(i, i) += noise * noise * m[i] * m[i];
+      }
+    }
+    const linalg::CholeskyFactor ref(cov);
+    const linalg::Vector alpha =
+        ref.solve_lower_transpose(ref.solve_lower(y));
+    const double lml = -0.5 * linalg::dot(y, alpha) +
+                       -0.5 * ref.log_determinant() +
+                       -0.5 * static_cast<double>(n) *
+                           std::log(2.0 * std::numbers::pi);
+    EXPECT_EQ(gp.log_marginal_likelihood(), lml) << multiplier;
+    for (double q = 0.0; q <= 1.0; q += 0.25) {
+      const std::vector<double> query{q, 1.0 - q};
+      linalg::Vector k_star(n);
+      for (std::size_t i = 0; i < n; ++i) k_star[i] = k(x.row(i), query);
+      const linalg::Vector v = ref.solve_lower(k_star);
+      const Prediction p = gp.predict(query);
+      EXPECT_EQ(p.mean, linalg::dot(k_star, alpha)) << multiplier;
+      EXPECT_EQ(p.variance,
+                std::max(k(query, query) - linalg::dot(v, v), 0.0))
+          << multiplier;
+    }
+  }
+}
+
+// add_observation() appends to the stored data in place; on a scheduled
+// refit the model must equal a batch fit of the same data bit for bit.
+TEST(GpRegressor, ScheduledRefitOnAddMatchesBatchFit) {
+  GpOptions options;
+  options.optimize_hyperparameters = false;  // the start would differ
+  options.refit_every = 1;
+  util::Rng rng(32);
+  const std::size_t n = 9;
+  linalg::Matrix x(n, 2);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform();
+    x(i, 1) = rng.uniform();
+    y[i] = 3.0 * x(i, 0) - x(i, 1);
+  }
+  linalg::Matrix head(2, 2);
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t c = 0; c < 2; ++c) head(i, c) = x(i, c);
+  }
+  GpRegressor grown(std::make_unique<Matern52Kernel>(2), options);
+  grown.fit(head, linalg::Vector{y[0], y[1]});
+  for (std::size_t i = 2; i < n; ++i) grown.add_observation(x.row(i), y[i]);
+  GpRegressor batch(std::make_unique<Matern52Kernel>(2), options);
+  batch.fit(x, y);
+  ASSERT_EQ(grown.observation_count(), n);
+  EXPECT_EQ(grown.log_marginal_likelihood(), batch.log_marginal_likelihood());
+  const std::vector<double> q{0.4, 0.6};
+  EXPECT_EQ(grown.predict(q).mean, batch.predict(q).mean);
+  EXPECT_EQ(grown.predict(q).variance, batch.predict(q).variance);
+}
+
+// Allocation guard: every likelihood evaluation of the MLE reuses one
+// covariance buffer, factor and solve vectors, so what a fit allocates
+// does not grow with the number of Nelder–Mead evaluations. Two extra
+// restarts add a few hundred evaluations (several allocations each before
+// the buffers were shared) but may only add each run's own simplex and
+// work vectors.
+TEST(GpRegressor, MleFitAllocationsDoNotGrowWithEvaluations) {
+  ASSERT_TRUE(obs::alloc_hook_active());
+  util::Rng rng(33);
+  const std::size_t n = 24;
+  linalg::Matrix x(n, 2);
+  linalg::Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x(i, 0) = rng.uniform();
+    x(i, 1) = rng.uniform();
+    y[i] = std::sin(6.0 * x(i, 0)) + x(i, 1) + 0.01 * rng.normal();
+  }
+  auto allocations_of_fit = [&](int restarts) {
+    GpOptions options;
+    options.optimizer_restarts = restarts;
+    GpRegressor gp(std::make_unique<Matern52Kernel>(2), options);
+    const std::uint64_t before = obs::alloc_counters().allocations;
+    gp.fit(x, y);
+    return obs::alloc_counters().allocations - before;
+  };
+  constexpr std::uint64_t kPerRestart = 24;
+  const std::uint64_t one = allocations_of_fit(1);
+  const std::uint64_t three = allocations_of_fit(3);
+  EXPECT_LE(three, one + 2 * kPerRestart) << "one restart: " << one;
 }
 
 TEST(GpRegressor, IncrementalUpdateMatchesBatchFit) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
@@ -110,6 +111,17 @@ TEST(Matrix, AddToDiagonalRequiresSquare) {
   EXPECT_THROW(m.add_to_diagonal(1.0), std::invalid_argument);
 }
 
+TEST(Matrix, AppendRowGrowsInPlace) {
+  Matrix m;
+  m.append_row(std::vector<double>{1.0, 2.0});
+  m.append_row(std::vector<double>{3.0, 4.0});
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 2u);
+  EXPECT_EQ(Matrix::max_abs_diff(m, Matrix{{1, 2}, {3, 4}}), 0.0);
+  EXPECT_THROW(m.append_row(std::vector<double>{5.0}), std::invalid_argument);
+  EXPECT_EQ(m.rows(), 2u);
+}
+
 TEST(VectorOps, DotNormSubtractScale) {
   const Vector a{3.0, 4.0};
   const Vector b{1.0, 2.0};
@@ -215,6 +227,96 @@ TEST(Cholesky, SolveSizeMismatchThrows) {
   EXPECT_THROW(f.solve(Vector{1.0}), std::invalid_argument);
   EXPECT_THROW(f.solve_lower(Vector{1.0}), std::invalid_argument);
   EXPECT_THROW(f.solve_lower_transpose(Vector{1.0}), std::invalid_argument);
+}
+
+// ------------------------------------------------- in-place refactorization
+
+/// Squared-exponential Gram matrix (unit lengthscale) over points in
+/// [0, 4) where every third point repeats its predecessor up to 1e-9:
+/// positive semi-definite but singular at machine precision, so the
+/// plain factorization usually fails and the jitter route runs.
+Matrix near_duplicate_gram(std::size_t n, util::Rng& rng) {
+  std::vector<double> pts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pts[i] = i % 3 == 2 ? pts[i - 1] + 1e-9 * rng.uniform()
+                        : rng.uniform(0.0, 4.0);
+  }
+  Matrix k(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const double d = pts[i] - pts[j];
+      k(i, j) = std::exp(-0.5 * d * d);
+    }
+  }
+  return k;
+}
+
+/// Number of entries (plus the jitter) where two factors differ at all.
+int bit_differences(const CholeskyFactor& a, const CholeskyFactor& b) {
+  if (a.dim() != b.dim()) return -1;
+  int diffs = a.jitter() == b.jitter() ? 0 : 1;
+  for (std::size_t r = 0; r < a.dim(); ++r) {
+    for (std::size_t c = 0; c < a.dim(); ++c) {
+      if (!(a.lower()(r, c) == b.lower()(r, c))) ++diffs;
+    }
+  }
+  return diffs;
+}
+
+// Property: refactor() into storage that held another matrix — same
+// size, a different size, or a jittered factor — gives exactly the fresh
+// constructor's factor and jitter, for n = 1..64.
+TEST(CholeskyRefactor, BitIdenticalToFreshFactor) {
+  util::Rng rng(901);
+  CholeskyFactor f(Matrix::identity(3));
+  int jittered = 0;
+  for (std::size_t n = 1; n <= 64; ++n) {
+    // The first matrix changes the dimension; the other two reuse it,
+    // the last one right after a (usually) jittered factor.
+    const Matrix cases[] = {random_spd(n, rng), near_duplicate_gram(n, rng),
+                            random_spd(n, rng)};
+    for (const Matrix& a : cases) {
+      f.refactor(a);
+      const CholeskyFactor fresh(a);
+      EXPECT_EQ(bit_differences(f, fresh), 0) << "n=" << n;
+      if (fresh.jitter() > 0.0) ++jittered;
+    }
+  }
+  // The near-duplicate matrices did exercise the jitter fallback.
+  EXPECT_GT(jittered, 20);
+}
+
+TEST(CholeskyRefactor, FailureThrowsAndFactorRecovers) {
+  CholeskyFactor f(Matrix::identity(2));
+  const Matrix indefinite{{1, 0}, {0, -5}};
+  EXPECT_THROW(f.refactor(indefinite, /*max_jitter_scalings=*/3),
+               std::runtime_error);
+  EXPECT_THROW(f.refactor(Matrix(2, 3)), std::invalid_argument);
+  const Matrix a{{4, 2}, {2, 3}};
+  f.refactor(a);
+  EXPECT_EQ(bit_differences(f, CholeskyFactor(a)), 0);
+}
+
+// The *_into solves reuse the caller's vectors — stale contents, another
+// size — and still match the returning solves bit for bit.
+TEST(Cholesky, IntoSolvesMatchReturningSolves) {
+  util::Rng rng(902);
+  Vector y(7, 42.0);
+  Vector x(3, -1.0);
+  for (const std::size_t n : {1u, 5u, 17u, 40u, 9u}) {
+    const CholeskyFactor f(random_spd(n, rng));
+    Vector b(n);
+    for (auto& v : b) v = rng.normal();
+    f.solve_lower_into(b, y);
+    EXPECT_EQ(y, f.solve_lower(b)) << "n=" << n;
+    f.solve_lower_transpose_into(y, x);
+    EXPECT_EQ(x, f.solve_lower_transpose(y)) << "n=" << n;
+    EXPECT_EQ(x, f.solve(b)) << "n=" << n;
+  }
+  const CholeskyFactor f(Matrix::identity(3));
+  EXPECT_THROW(f.solve_lower_into(Vector{1.0}, y), std::invalid_argument);
+  EXPECT_THROW(f.solve_lower_transpose_into(Vector{1.0}, x),
+               std::invalid_argument);
 }
 
 // Property: extending the factor of A to the bordered matrix matches a
