@@ -38,21 +38,6 @@ void BM_ConvBoRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBoRun);
 
-void BM_HeterBoRunThreads(benchmark::State& state) {
-  // The same HeterBO run under the PR-2 candidate-scan parallelism.
-  // Traces are bit-identical across thread counts (enforced by
-  // tests/fastpath_test.cpp and bench_perf_gate); only wall-clock moves.
-  Setup s;
-  auto problem = bench::make_problem(
-      s.config, s.space, search::Scenario::fastest_under_budget(120.0));
-  problem.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bench::run_method(s.perf, problem, "heterbo"));
-  }
-}
-BENCHMARK(BM_HeterBoRunThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_HeterBoRunRefitSchedule(benchmark::State& state) {
   // Relaxing the surrogate retune cadence (--gp-refit-every) trades MLE
   // time for incremental O(n^2) updates between scheduled retunes.

@@ -1,11 +1,11 @@
 // PR-2 fast-path performance gate.
 //
 // Measures the two throughputs the fast-path BO engine exists for —
-// incremental GP updates and parallel acquisition scans — plus the
-// determinism contract (probe traces bit-identical across thread
-// counts), and writes them to BENCH_PR2.json. With --baseline it
-// compares against a previous run and exits nonzero when either
-// throughput regressed by more than --max-regression (default 20%).
+// incremental GP updates and cached acquisition scans — plus one
+// HeterBO run's wall time, and writes them to BENCH_PR2.json. With
+// --baseline it compares against a previous run and exits nonzero when
+// either throughput regressed by more than --max-regression (default
+// 20%).
 //
 // Absolute ops/sec are machine-dependent, so cross-machine comparisons
 // (a CI runner vs the machine that committed the baseline) are made on
@@ -131,9 +131,9 @@ double gp_full_refits_per_sec(int trials) {
   return 1.0 / secs;
 }
 
-/// One acquisition scan exactly as the searchers run it: parallel
-/// cached prediction into pre-sized slots, then score_batch.
-double scan_candidates_per_sec(int threads, int scans, int trials) {
+/// One acquisition scan exactly as the searchers run it: cached
+/// prediction into pre-sized slots, then score_batch.
+double scan_candidates_per_sec(int scans, int trials) {
   gp::GpRegressor gp = frozen_gp(48);
   util::Rng rng(17);
   const std::size_t m = 8192;
@@ -143,15 +143,12 @@ double scan_candidates_per_sec(int threads, int scans, int trials) {
   std::vector<gp::Prediction> predictions(m);
   std::vector<double> scores(m);
   const bo::ExpectedImprovement ei(0.01);
-  util::ThreadPool pool(threads);
 
   const auto scan = [&] {
-    pool.parallel_for(m, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        predictions[i] = gp.predict_cached(candidates[i], caches[i]);
-      }
-    });
-    bo::score_batch(ei, pool, predictions, 0.5, scores);
+    for (std::size_t i = 0; i < m; ++i) {
+      predictions[i] = gp.predict_cached(candidates[i], caches[i]);
+    }
+    bo::score_batch(ei, predictions, 0.5, scores);
   };
   scan();  // warm the per-candidate caches once, outside the timing
   const double secs = best_time(trials, [&] {
@@ -160,47 +157,18 @@ double scan_candidates_per_sec(int threads, int scans, int trials) {
   return static_cast<double>(m) * scans / secs;
 }
 
-struct DeterminismReport {
-  bool identical = true;
-  std::size_t probes = 0;
-  double run_secs_t1 = 0.0;
-  double run_secs_t4 = 0.0;
-};
-
-/// Runs HeterBO on the Fig. 15 workload with 1 and 4 threads and
-/// compares the traces bitwise.
-DeterminismReport heterbo_determinism() {
+/// Wall time of one HeterBO run on the Fig. 15 workload, seconds.
+double heterbo_run_secs() {
   const cloud::InstanceCatalog cat =
       bench::subset_catalog({"c5.xlarge", "c5.4xlarge", "p2.xlarge"});
   const cloud::DeploymentSpace space(cat, 50);
   const perf::TrainingPerfModel perf(cat);
   const perf::TrainingConfig config = bench::make_config("char_rnn");
-  search::SearchProblem problem = bench::make_problem(
+  const search::SearchProblem problem = bench::make_problem(
       config, space, search::Scenario::fastest_under_budget(120.0));
-
-  DeterminismReport report;
-  problem.threads = 1;
-  Clock::time_point start = Clock::now();
-  const search::SearchResult serial =
-      bench::run_method(perf, problem, "heterbo");
-  report.run_secs_t1 = seconds_since(start);
-
-  problem.threads = 4;
-  start = Clock::now();
-  const search::SearchResult parallel =
-      bench::run_method(perf, problem, "heterbo");
-  report.run_secs_t4 = seconds_since(start);
-
-  report.probes = serial.trace.size();
-  report.identical = serial.trace.size() == parallel.trace.size();
-  for (std::size_t i = 0; report.identical && i < serial.trace.size(); ++i) {
-    const search::ProbeStep& a = serial.trace[i];
-    const search::ProbeStep& b = parallel.trace[i];
-    report.identical = a.deployment == b.deployment &&
-                       a.measured_speed == b.measured_speed &&
-                       a.acquisition == b.acquisition && a.reason == b.reason;
-  }
-  return report;
+  const Clock::time_point start = Clock::now();
+  bench::run_method(perf, problem, "heterbo");
+  return seconds_since(start);
 }
 
 /// Wall-time cost of write-ahead journaling: a full-catalog HeterBO
@@ -227,7 +195,7 @@ struct JournalOverheadReport {
 
 JournalOverheadReport journal_overhead(int trials) {
   // Full 62-type catalog at 50 nodes: a representative search (30
-  // probes), not the 3-type determinism workload.
+  // probes), not the 3-type Fig. 15 workload.
   const cloud::InstanceCatalog& cat = cloud::aws_catalog();
   const cloud::DeploymentSpace space(cat, 50);
   const perf::TrainingPerfModel perf(cat);
@@ -392,10 +360,8 @@ int main(int argc, char** argv) {
   const double calibration = calibration_fits_per_sec(quick ? 4 : 10, trials);
   const double gp_adds = gp_incremental_adds_per_sec(64, trials);
   const double gp_refits = gp_full_refits_per_sec(trials);
-  const double scan_t1 = scan_candidates_per_sec(1, quick ? 2 : 5, trials);
-  const double scan_t4 = scan_candidates_per_sec(4, quick ? 2 : 5, trials);
-  const double scan_speedup = scan_t4 / scan_t1;
-  const DeterminismReport determinism = heterbo_determinism();
+  const double scan_t1 = scan_candidates_per_sec(quick ? 2 : 5, trials);
+  const double heterbo_secs = heterbo_run_secs();
   const JournalOverheadReport journal_report = journal_overhead(trials);
 
   std::map<std::string, double> metrics;
@@ -403,14 +369,7 @@ int main(int argc, char** argv) {
   metrics["gp_incremental_adds_per_sec"] = gp_adds;
   metrics["gp_full_refits_per_sec"] = gp_refits;
   metrics["acq_scan_candidates_per_sec_t1"] = scan_t1;
-  metrics["acq_scan_candidates_per_sec_t4"] = scan_t4;
-  metrics["acq_scan_speedup_t4"] = scan_speedup;
-  metrics["heterbo_run_secs_t1"] = determinism.run_secs_t1;
-  metrics["heterbo_run_secs_t4"] = determinism.run_secs_t4;
-  metrics["heterbo_run_speedup_t4"] =
-      determinism.run_secs_t4 > 0.0
-          ? determinism.run_secs_t1 / determinism.run_secs_t4
-          : 0.0;
+  metrics["heterbo_run_secs_t1"] = heterbo_secs;
   metrics["journal_run_secs_plain"] = journal_report.plain_secs;
   metrics["journal_run_secs_journaled"] = journal_report.journaled_secs;
   metrics["journal_us_per_record"] = journal_report.us_per_record;
@@ -422,8 +381,6 @@ int main(int argc, char** argv) {
     std::printf("  %-34s %.4g\n", name.c_str(), value);
     bench::record_gate_metric("pr2-fastpath-gate", name, value);
   }
-  std::printf("  %-34s %s (%zu probes)\n", "heterbo_trace_identical_t1_t4",
-              determinism.identical ? "yes" : "NO", determinism.probes);
 
   util::JsonWriter json;
   json.begin_object();
@@ -433,10 +390,6 @@ int main(int argc, char** argv) {
   json.key("metrics").begin_object();
   for (const auto& [name, value] : metrics) json.key(name).value(value);
   json.end_object();
-  json.key("determinism").begin_object();
-  json.key("heterbo_trace_identical_t1_t4").value(determinism.identical);
-  json.key("probes").value(static_cast<std::int64_t>(determinism.probes));
-  json.end_object();
   json.end_object();
   {
     std::ofstream out(out_path);
@@ -445,12 +398,6 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
 
   bool ok = true;
-  if (!determinism.identical) {
-    std::fprintf(stderr,
-                 "GATE FAIL: HeterBO probe trace differs between "
-                 "--threads 1 and --threads 4\n");
-    ok = false;
-  }
   if (journal_report.overhead_vs_search_wall > 0.05) {
     std::fprintf(stderr,
                  "GATE FAIL: write-ahead journaling costs %.1f%% of the "
@@ -459,13 +406,6 @@ int main(int argc, char** argv) {
                  100.0 * journal_report.overhead_vs_search_wall,
                  journal_report.us_per_record,
                  journal_report.search_wall_hours);
-    ok = false;
-  }
-  if (util::ThreadPool::hardware_threads() >= 4 && scan_speedup < 2.0) {
-    std::fprintf(stderr,
-                 "GATE FAIL: acquisition-scan speedup at 4 threads is "
-                 "%.2fx (< 2.0x required)\n",
-                 scan_speedup);
     ok = false;
   }
 
@@ -484,8 +424,7 @@ int main(int argc, char** argv) {
         base_metrics.at("calibration_fits_per_sec").as_number();
     // Calibration-normalized comparison: machine speed cancels out.
     for (const char* key :
-         {"gp_incremental_adds_per_sec", "acq_scan_candidates_per_sec_t1",
-          "acq_scan_candidates_per_sec_t4"}) {
+         {"gp_incremental_adds_per_sec", "acq_scan_candidates_per_sec_t1"}) {
       if (!base_metrics.contains(key)) continue;
       const double base_ratio =
           base_metrics.at(key).as_number() / base_calibration;

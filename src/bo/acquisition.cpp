@@ -44,18 +44,14 @@ std::unique_ptr<AcquisitionFunction> make_acquisition(
 }
 
 void score_batch(const AcquisitionFunction& acquisition,
-                 util::ThreadPool& pool,
                  std::span<const gp::Prediction> predictions, double best,
                  std::span<double> out) {
   if (predictions.size() != out.size()) {
     throw std::invalid_argument("score_batch: size mismatch");
   }
-  pool.parallel_for(predictions.size(),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        out[i] = acquisition.score(predictions[i], best);
-                      }
-                    });
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    out[i] = acquisition.score(predictions[i], best);
+  }
 }
 
 }  // namespace mlcd::bo

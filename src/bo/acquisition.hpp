@@ -16,7 +16,6 @@
 #include <string>
 
 #include "gp/gp_regressor.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd::bo {
 
@@ -86,15 +85,11 @@ class ProbabilityOfImprovement final : public AcquisitionFunction {
 std::unique_ptr<AcquisitionFunction> make_acquisition(
     const std::string& name);
 
-/// Scores a batch of posteriors against one incumbent, in parallel over
-/// `pool`: out[i] = acquisition.score(predictions[i], best). Each element
-/// is computed independently from its own inputs, so the result is
-/// bitwise identical for any thread count — the property the searchers'
-/// determinism contract (util/thread_pool.hpp) builds on. `out` must be
-/// the same length as `predictions`. Throws std::invalid_argument on a
-/// size mismatch.
+/// Scores a batch of posteriors against one incumbent:
+/// out[i] = acquisition.score(predictions[i], best). `out` must be the
+/// same length as `predictions`. Throws std::invalid_argument on a size
+/// mismatch.
 void score_batch(const AcquisitionFunction& acquisition,
-                 util::ThreadPool& pool,
                  std::span<const gp::Prediction> predictions, double best,
                  std::span<double> out);
 

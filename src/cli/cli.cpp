@@ -61,8 +61,8 @@ deploy/compare options:
                         cherrypick-improved | random | exhaustive |
                         paleo | pareto                       [heterbo]
   --seed <n>            RNG seed                             [1]
-  --threads <n>         worker lanes for the BO candidate scans; probe
-                        traces are bit-identical for any value [1]
+  --threads <n>         accepted and echoed in the report; has no
+                        effect                               [1]
   --gp-refit-every <k>  retune the BO surrogates every k probes and
                         update incrementally in between (1 = retune
                         on every probe; see docs/performance.md) [1]

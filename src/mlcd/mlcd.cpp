@@ -152,10 +152,9 @@ search::SearchSession& PreparedJob::session() noexcept {
 DeployResult PreparedJob::finish() {
   RunReport report;
   report.request = context_->request;
-  // The gate, scan pool, and any re-staging replay records are scoped
-  // to the run; never let them leak out of the report.
+  // The gate and any re-staging replay records are scoped to the run;
+  // never let them leak out of the report.
   report.request.probe_gate = nullptr;
-  report.request.scan_pool = nullptr;
   report.request.replay_records.clear();
   report.scenario = context_->scenario;
   report.resumed_from = context_->resumed_from;
@@ -261,8 +260,6 @@ PrepareResult Mlcd::prepare(const JobRequest& request) const {
   problem.scenario = scenario;
   problem.seed = request.seed;
   problem.profiler_options = request.profiler_options;
-  problem.threads = request.threads;
-  problem.scan_pool = request.scan_pool;
   problem.gp_refit_every = request.gp_refit_every;
   problem.journal_on_error = request.journal_on_error;
 

@@ -20,7 +20,6 @@
 #include "models/model_zoo.hpp"
 #include "search/search_result.hpp"
 #include "search/search_session.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd::system {
 
@@ -46,15 +45,11 @@ struct JobRequest {
   /// Profiler knobs, including injected fault hazards and the retry
   /// policy (see docs/fault-model.md and the CLI chaos flags).
   profiler::ProfilerOptions profiler_options;
-  /// Execution lanes for the BO candidate scans (CLI --threads). Probe
-  /// traces are bit-identical for any value; see docs/performance.md.
+  /// Requested scan threads (CLI --threads, workload "threads"):
+  /// validated (>= 1) and echoed in the report, but it has no effect —
+  /// a job's candidate scan runs on the thread that drives it. Kept so
+  /// RunReports and request files stay unchanged.
   int threads = 1;
-  /// Shared candidate-scan worker pool (service layer): when set, the
-  /// search scans on this pool instead of creating its own, so a fleet
-  /// of concurrent jobs shares one set of worker threads. Trace-neutral
-  /// for any pool size (`threads` determinism contract). Not owned;
-  /// nullptr (default) lets the session size its own pool.
-  util::ThreadPool* scan_pool = nullptr;
   /// GP retune cadence (CLI --gp-refit-every): rebuild the BO surrogates
   /// from scratch every this many probes, extending incrementally in
   /// between. 1 = retune on every probe (exact legacy behavior).

@@ -51,16 +51,8 @@ constexpr Spec kSpecs[] = {
      true, 0.25, "calibration_fits_per_sec", kDiv, 0, ""},
     {"pr2-fastpath-gate", "acq_scan_candidates_per_sec_t1", "per_sec", false,
      true, 0.25, "calibration_fits_per_sec", kDiv, 0, ""},
-    {"pr2-fastpath-gate", "acq_scan_candidates_per_sec_t4", "per_sec", false,
-     true, 0.25, "calibration_fits_per_sec", kDiv, 4, ""},
-    {"pr2-fastpath-gate", "acq_scan_speedup_t4", "ratio", false,
-     true, 0.25, "", kDiv, 4, ""},
     {"pr2-fastpath-gate", "heterbo_run_secs_t1", "seconds", true,
      true, 0.30, "calibration_fits_per_sec", kMul, 0, ""},
-    {"pr2-fastpath-gate", "heterbo_run_secs_t4", "seconds", true,
-     true, 0.30, "calibration_fits_per_sec", kMul, 4, ""},
-    {"pr2-fastpath-gate", "heterbo_run_speedup_t4", "ratio", false,
-     false, 0.25, "", kDiv, 4, "covered by acq_scan_speedup_t4 gate"},
     {"pr2-fastpath-gate", "journal_run_secs_plain", "seconds", true,
      false, 0.30, "", kDiv, 0, ""},
     {"pr2-fastpath-gate", "journal_run_secs_journaled", "seconds", true,

@@ -227,7 +227,6 @@ void BoLoopStrategy::enter_loop(SearchSession& session) {
   }
   caches_.resize(m);
   surrogate_.emplace(*normalizer_, session.problem().gp_refit_every);
-  workers_ = &session.pool();
   predictions_.resize(m);
   scores_.resize(m);
   probed_.resize(m);
@@ -290,21 +289,16 @@ std::optional<ProbeRequest> BoLoopStrategy::loop_next(
     best = log_objective(session, session.incumbent());
   }
 
-  // Parallel scan: posteriors for every unprobed candidate land in
-  // disjoint pre-sized slots (determinism contract,
-  // util/thread_pool.hpp), then the batched acquisition scoring runs
-  // over the same partitioning. Everything order-dependent — the sort,
-  // the reserve fall-through — stays serial, in candidate order.
+  // Posteriors for every unprobed candidate, then the batched
+  // acquisition scoring, both in candidate order.
   const std::size_t m = candidates_.size();
-  workers_->parallel_for(m, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      probed_[i] = session.already_probed(candidates_[i]) ? 1 : 0;
-      if (!probed_[i]) {
-        predictions_[i] = gp.predict_cached(unit_coords_[i], caches_[i]);
-      }
+  for (std::size_t i = 0; i < m; ++i) {
+    probed_[i] = session.already_probed(candidates_[i]) ? 1 : 0;
+    if (!probed_[i]) {
+      predictions_[i] = gp.predict_cached(unit_coords_[i], caches_[i]);
     }
-  });
-  bo::score_batch(*acquisition_, *workers_, predictions_, best, scores_);
+  }
+  bo::score_batch(*acquisition_, predictions_, best, scores_);
 
   // Keep the unprobed candidates ordered by EI so the budget-aware
   // variant can fall through to cheaper alternatives.

@@ -163,7 +163,6 @@ class BoLoopStrategy final : public SearchStrategy {
   std::vector<std::vector<double>> unit_coords_;
   std::vector<gp::GpRegressor::PredictCache> caches_;
   std::optional<TraceSurrogate> surrogate_;
-  util::ThreadPool* workers_ = nullptr;
   std::vector<gp::Prediction> predictions_;
   std::vector<double> scores_;
   std::vector<char> probed_;

@@ -546,12 +546,6 @@ class HeterBoStrategy final : public SearchStrategy {
     surrogates_ = std::make_unique<SurrogateBank>(
         session, *normalizer_, options_.warm_start,
         session.problem().gp_refit_every);
-    pool_ = &session.pool();
-    valid_.resize(m);
-    ei_values_.resize(m);
-    ucb_values_.resize(m);
-    scores_.resize(m);
-    projected_speeds_.resize(m);
     phase_ = Phase::kLoop;
   }
 
@@ -635,78 +629,62 @@ class HeterBoStrategy final : public SearchStrategy {
     double ucb_max = -std::numeric_limits<double>::infinity();
     std::size_t affordable = 0;
 
-    // Parallel scan: every candidate's filters, posterior and
-    // acquisition score are functions of its own inputs alone and land
-    // in disjoint pre-sized slots, so the result is bitwise identical
-    // for any thread count (util/thread_pool.hpp). The argmax and the
-    // ei/ucb maxima reduce serially afterwards, in candidate order —
-    // exactly the legacy single-threaded visit order.
+    // One pass in candidate order: filters, posterior, acquisition
+    // score, the ei/ucb maxima and the first-max argmax.
     const std::size_t m = all_.size();
-    pool_->parallel_for(m, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        valid_[i] = 0;
-        const cloud::Deployment& d = all_[i];
-        if (d.nodes > prune[d.type_index]) continue;  // concavity prior
-        // Static memory check: never pay for a probe that arithmetic
-        // already proves cannot run; cost-excluded types stay out too.
-        if (min_feasible_[d.type_index] < 0 || excluded_[d.type_index] ||
-            d.nodes < min_feasible_[d.type_index]) {
-          continue;
-        }
-        // Skip points already measured at the exploration fidelity *or*
-        // already confirmed at full fidelity (identical checks when the
-        // ladder is disabled).
-        if (session.already_probed(d) ||
-            session.already_probed(d, explore_)) {
-          continue;
-        }
-        if (outaged(session, d.type_index)) continue;  // outage: demoted
-        if (!reserve_ok(session, d, explore_)) continue;  // reserve
-        valid_[i] = 1;
+    for (std::size_t i = 0; i < m; ++i) {
+      const cloud::Deployment& d = all_[i];
+      if (d.nodes > prune[d.type_index]) continue;  // concavity prior
+      // Static memory check: never pay for a probe that arithmetic
+      // already proves cannot run; cost-excluded types stay out too.
+      if (min_feasible_[d.type_index] < 0 || excluded_[d.type_index] ||
+          d.nodes < min_feasible_[d.type_index]) {
+        continue;
+      }
+      // Skip points already measured at the exploration fidelity *or*
+      // already confirmed at full fidelity (identical checks when the
+      // ladder is disabled).
+      if (session.already_probed(d) || session.already_probed(d, explore_)) {
+        continue;
+      }
+      if (outaged(session, d.type_index)) continue;     // outage: demoted
+      if (!reserve_ok(session, d, explore_)) continue;  // reserve
+      ++affordable;
 
-        const gp::Prediction p =
-            surrogates_->predict(session, d, unit2d_[i], caches_[i]);
-        ei_values_[i] = ei_.score(p, best);
-        ucb_values_[i] = p.mean + z_ * p.stddev();
+      const gp::Prediction p =
+          surrogates_->predict(session, d, unit2d_[i], caches_[i]);
+      const double ei_value = ei_.score(p, best);
+      const double ucb_value = p.mean + z_ * p.stddev();
+      ei_max = std::max(ei_max, ei_value);
+      ucb_max = std::max(ucb_max, ucb_value);
 
-        // Heterogeneous-cost penalty (Eqs. 7/8): improvement per unit
-        // of what the scenario actually constrains.
-        // The penalty is the spend of the probe as it would actually run
-        // — at the exploration fidelity when the ladder is enabled.
-        double penalty =
-            time_penalty_
-                ? session.profiler().expected_profile_hours(config, d,
-                                                            explore_)
-                : session.profiler().expected_profile_cost(config, d,
-                                                           explore_);
-        penalty = std::max(penalty, 1e-9);
-        scores_[i] = options_.cost_aware_acquisition
-                         ? ei_values_[i] /
-                               std::pow(penalty,
-                                        options_.cost_penalty_exponent)
-                         : ei_values_[i];
-
+      // Heterogeneous-cost penalty (Eqs. 7/8): improvement per unit
+      // of what the scenario actually constrains.
+      // The penalty is the spend of the probe as it would actually run
+      // — at the exploration fidelity when the ladder is enabled.
+      double penalty =
+          time_penalty_
+              ? session.profiler().expected_profile_hours(config, d,
+                                                          explore_)
+              : session.profiler().expected_profile_cost(config, d,
+                                                         explore_);
+      penalty = std::max(penalty, 1e-9);
+      const double score =
+          options_.cost_aware_acquisition
+              ? ei_value / std::pow(penalty, options_.cost_penalty_exponent)
+              : ei_value;
+      if (score > chosen_score) {
+        chosen_score = score;
+        chosen = &d;
         // Projected speed if this candidate realizes its expected
         // improvement (used for the TEI bookkeeping below). The
         // surrogate lives in log space, so the projection exponentiates
         // back.
-        const double projected_objective = std::exp(best + ei_values_[i]);
-        projected_speeds_[i] =
+        const double projected_objective = std::exp(best + ei_value);
+        chosen_projected_speed =
             scenario.kind == ScenarioKind::kCheapestUnderDeadline
                 ? projected_objective * space.hourly_price(d)
                 : projected_objective;
-      }
-    });
-
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!valid_[i]) continue;
-      ++affordable;
-      ei_max = std::max(ei_max, ei_values_[i]);
-      ucb_max = std::max(ucb_max, ucb_values_[i]);
-      if (scores_[i] > chosen_score) {
-        chosen_score = scores_[i];
-        chosen = &all_[i];
-        chosen_projected_speed = projected_speeds_[i];
       }
     }
 
@@ -854,12 +832,6 @@ class HeterBoStrategy final : public SearchStrategy {
   std::vector<std::vector<double>> unit2d_;
   std::vector<gp::GpRegressor::PredictCache> caches_;
   std::unique_ptr<SurrogateBank> surrogates_;
-  util::ThreadPool* pool_ = nullptr;
-  std::vector<char> valid_;
-  std::vector<double> ei_values_;
-  std::vector<double> ucb_values_;
-  std::vector<double> scores_;
-  std::vector<double> projected_speeds_;
   int iteration_ = 0;
 };
 

@@ -87,14 +87,6 @@ const ProbeStep& SearchSession::observe(ProbeStep step) {
   return trace_[idx];
 }
 
-util::ThreadPool& SearchSession::pool() {
-  if (problem_->scan_pool != nullptr) return *problem_->scan_pool;
-  if (!pool_) {
-    pool_ = std::make_unique<util::ThreadPool>(problem_->threads);
-  }
-  return *pool_;
-}
-
 void SearchSession::note_degraded(int iteration, const std::string& why) {
   ++degraded_;
   MLCD_LOG(kWarn, "search")

@@ -35,7 +35,6 @@
 #include "search/scenario.hpp"
 #include "search/search_result.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd::search {
 
@@ -46,18 +45,6 @@ struct SearchProblem {
   Scenario scenario;
   std::uint64_t seed = 1;
   profiler::ProfilerOptions profiler_options;
-  /// Execution lanes for the candidate-scan parallelism (acquisition
-  /// scoring over the deployment plane). Probe traces are bit-identical
-  /// for any value — see util/thread_pool.hpp for the contract — so this
-  /// is purely a wall-clock knob. Values < 1 are clamped to 1.
-  int threads = 1;
-  /// Shared candidate-scan pool (service layer): when set, the session
-  /// scans on this pool instead of lazily creating its own, so M
-  /// scheduler-driven sessions share one set of worker threads rather
-  /// than spawning one pool per job lane. Trace-neutral for any pool
-  /// size (same determinism contract as `threads`). Not owned; must
-  /// outlive the session.
-  util::ThreadPool* scan_pool = nullptr;
   /// BO-surrogate retune cadence: the searchers rebuild their GPs from
   /// scratch (hyperparameter MLE + target renormalization) every this
   /// many incorporated probes and extend them incrementally in between
@@ -257,12 +244,6 @@ class SearchSession {
   bool reserve_allows_probe(const cloud::Deployment& d,
                             const profiler::Fidelity& fidelity) const;
 
-  /// Worker pool for candidate scans: the injected shared pool when the
-  /// problem carries one, else a lazily created pool sized to
-  /// SearchProblem::threads (probe-free searchers never pay for thread
-  /// spawns).
-  util::ThreadPool& pool();
-
   /// Records one graceful-degradation episode (surrogate refit failed;
   /// the iteration ran in the prior-mean safe mode). Journaled unless
   /// the session is still replaying — a replayed iteration re-derives
@@ -331,7 +312,6 @@ class SearchSession {
   util::Rng rng_;
   CompletionModel completion_;
   std::unique_ptr<SearchStrategy> strategy_;
-  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<ProbeStep> trace_;
   std::optional<ProbeRequest> pending_;
   bool finished_ = false;

@@ -133,7 +133,7 @@ BatchManifestContents read_manifest(const std::string& path);
 
 /// FNV-1a fingerprint of one job spec: every field that shapes the job's
 /// probe trace or its admission (name, tenant, request knobs, SLOs).
-/// Trace-neutral knobs — threads, scan pools, per-run journal paths —
+/// Trace-neutral knobs — threads, per-run journal paths —
 /// are deliberately excluded, so a resume may change them freely.
 std::uint64_t hash_job(const JobSpec& job);
 

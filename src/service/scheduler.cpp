@@ -393,7 +393,7 @@ class ProbeBatch {
   ProbeBatch(const system::Mlcd& mlcd, const SchedulerOptions& options,
              const Workload& workload, BatchReport& report,
              ProbeCache* cache, CapacityPool& capacity,
-             util::ThreadPool& scan_pool, Clock::time_point batch_start,
+             Clock::time_point batch_start,
              ManifestHandle* manifest = nullptr,
              const std::vector<DurablePlan>* plans = nullptr)
       : mlcd_(&mlcd),
@@ -401,7 +401,6 @@ class ProbeBatch {
         report_(&report),
         cache_(cache),
         capacity_(&capacity),
-        scan_pool_(&scan_pool),
         manifest_(manifest),
         plans_(plans),
         batch_start_(batch_start),
@@ -537,7 +536,6 @@ class ProbeBatch {
       }
       system::JobRequest request = spec.request;
       request.probe_gate = &job.gate;
-      request.scan_pool = scan_pool_;
       system::PrepareResult prepared = mlcd_->prepare(request);
       if (!prepared.ok()) {
         outcome.error_code = std::string(
@@ -797,7 +795,6 @@ class ProbeBatch {
     JobOutcome& outcome = report_->jobs[i];
     system::JobRequest request = spec.request;
     request.probe_gate = &job.gate;
-    request.scan_pool = scan_pool_;
     if (!request.journal_path.empty() || !request.resume_path.empty()) {
       request.resume_path = !request.journal_path.empty()
                                 ? request.journal_path
@@ -864,7 +861,6 @@ class ProbeBatch {
   BatchReport* report_;
   ProbeCache* cache_;
   CapacityPool* capacity_;
-  util::ThreadPool* scan_pool_;
   ManifestHandle* manifest_;              ///< null: batch not durable
   const std::vector<DurablePlan>* plans_; ///< null: batch not durable
   const Clock::time_point batch_start_;
@@ -979,19 +975,10 @@ BatchReport Scheduler::run(const Workload& workload) const {
   ProbeCache cache(options_.cache_stripes);
   ProbeCache* shared_cache = options_.share_probes ? &cache : nullptr;
   CapacityPool capacity(options_.capacity_nodes);
-  // One candidate-scan pool for the whole fleet, sized to the widest
-  // job: sessions submit their acquisition scans here instead of each
-  // spawning its own workers (trace-neutral; see SearchProblem::
-  // scan_pool). Lane threads participate in the batches they submit.
-  int scan_threads = 1;
-  for (const JobSpec& spec : workload.jobs) {
-    scan_threads = std::max(scan_threads, spec.request.threads);
-  }
-  util::ThreadPool scan_pool(scan_threads);
 
   const Clock::time_point batch_start = Clock::now();
   ProbeBatch batch(*mlcd_, options_, *active, report, shared_cache,
-                   capacity, scan_pool, batch_start,
+                   capacity, batch_start,
                    manifest_handle ? &*manifest_handle : nullptr,
                    plans.empty() ? nullptr : &plans);
   batch.run();

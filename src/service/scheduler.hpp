@@ -52,8 +52,9 @@
 namespace mlcd::service {
 
 struct SchedulerOptions {
-  /// Concurrent jobs (scheduler lanes; each job may additionally use its
-  /// own per-job candidate-scan threads). Clamped to >= 1.
+  /// Concurrent jobs (scheduler lanes, the batch's only threads; each
+  /// job's candidate scan runs on the lane that drives it). Clamped to
+  /// >= 1.
   int threads = 1;
   /// Global pool of concurrent simulated nodes across all in-flight
   /// probes; 0 = unlimited. Workloads containing a job whose max_nodes

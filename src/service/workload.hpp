@@ -23,7 +23,7 @@
 //         "budget_dollars": 400.0,
 //         "max_nodes": 50,
 //         "use_spot": false,
-//         "threads": 1,                   // per-job candidate-scan lanes
+//         "threads": 1,                   // echoed in the report; no effect
 //         "gp_refit_every": 1,
 //         "journal": "acme-resnet.mlcdj", // optional durable journal
 //         "journal_on_error": "degrade",  // "abort" (default) or

@@ -10,9 +10,9 @@ namespace mlcd::util {
 
 ThreadPool::ThreadPool(int threads)
     : thread_count_(std::max(1, threads)) {
-  workers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
+  helpers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
   for (int i = 1; i < thread_count_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    helpers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -22,7 +22,7 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
+  for (std::thread& w : helpers_) w.join();
 }
 
 int ThreadPool::hardware_threads() {

@@ -1,9 +1,8 @@
 // Fixed-size worker pool for deterministic data-parallel loops.
 //
-// The BO searchers score acquisition functions over thousands of
-// candidate deployments per iteration; this pool parallelizes such scans
-// while keeping probe traces bit-identical across thread counts. The
-// contract that makes this possible:
+// The service scheduler runs its job lanes on this pool (one chunk per
+// lane, see service/scheduler.cpp), and the profiler's probe watchdog
+// uses run_with_deadline. The contract parallel_for keeps:
 //
 //   * parallel_for splits [0, n) into contiguous chunks with a fixed
 //     partitioning rule — no work stealing, no dynamic scheduling — so
@@ -15,7 +14,7 @@
 //     parallel_for returns, serially, in index order.
 //
 // Under these rules the output is bitwise independent of thread count,
-// which tests/fastpath_test.cpp enforces for every searcher.
+// which the ThreadPoolTest cases in tests/fastpath_test.cpp enforce.
 #pragma once
 
 #include <condition_variable>
@@ -49,10 +48,8 @@ class ThreadPool {
   ///
   /// Safe to call from multiple threads on a shared pool: concurrent
   /// submissions serialize (one batch at a time, FIFO by mutex order).
-  /// This is what lets the service scheduler hand M concurrent search
-  /// sessions one shared scan pool instead of spawning a worker set per
-  /// job lane. Chunking depends only on (n, thread_count), so sharing is
-  /// trace-neutral under the determinism contract above.
+  /// Chunking depends only on (n, thread_count), so sharing keeps the
+  /// determinism contract above.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -79,7 +76,7 @@ class ThreadPool {
   void run_chunks();
 
   int thread_count_ = 1;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;
 
   /// Held for the full span of one parallel_for batch (submission through
   /// completion) so concurrent submitters on a shared pool serialize.

@@ -1,11 +1,10 @@
 // Fast-path BO engine tests: incremental GP golden equivalence, thread-
-// pool determinism, parallel acquisition scoring, the searcher registry
+// pool determinism, batched acquisition scoring, the searcher registry
 // and the JSON report round-trip.
 //
-// The two contracts this file enforces end-to-end (docs/performance.md):
-//   * an incrementally-updated GP posterior matches the full-refit
-//     reference to 1e-8, and
-//   * searcher probe traces are bit-identical for any --threads value.
+// The contract this file enforces end-to-end (docs/performance.md): an
+// incrementally-updated GP posterior matches the full-refit reference
+// to 1e-8.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -345,7 +344,7 @@ TEST(ThreadPoolTest, ClampsNonPositiveThreadCounts) {
   EXPECT_GE(util::ThreadPool::hardware_threads(), 1);
 }
 
-// ------------------------------------------------- parallel acquisition
+// -------------------------------------------------- batched acquisition
 
 TEST(ScoreBatch, MatchesSerialScoringBitwise) {
   util::Rng rng(31);
@@ -361,26 +360,22 @@ TEST(ScoreBatch, MatchesSerialScoringBitwise) {
   for (std::size_t i = 0; i < predictions.size(); ++i) {
     serial[i] = ei.score(predictions[i], best);
   }
-  for (int threads : {1, 2, 8}) {
-    util::ThreadPool pool(threads);
-    std::vector<double> batch(predictions.size());
-    bo::score_batch(ei, pool, predictions, best, batch);
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      EXPECT_EQ(batch[i], serial[i]) << "threads=" << threads;
-    }
+  std::vector<double> batch(predictions.size());
+  bo::score_batch(ei, predictions, best, batch);
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    EXPECT_EQ(batch[i], serial[i]) << "i=" << i;
   }
 }
 
 TEST(ScoreBatch, RejectsMismatchedSpans) {
   const bo::UpperConfidenceBound ucb(2.0);
-  util::ThreadPool pool(2);
   std::vector<gp::Prediction> predictions(4);
   std::vector<double> out(3);
-  EXPECT_THROW(bo::score_batch(ucb, pool, predictions, 0.0, out),
+  EXPECT_THROW(bo::score_batch(ucb, predictions, 0.0, out),
                std::invalid_argument);
 }
 
-// ----------------------------------------- trace determinism across threads
+// ---------------------------------------------------- trace determinism
 
 search::SearchProblem heterogeneous_problem(const cloud::DeploymentSpace& space,
                                             std::uint64_t seed) {
@@ -426,63 +421,18 @@ class TraceDeterminism : public testing::Test {
   perf::TrainingPerfModel perf_;
 };
 
-TEST_F(TraceDeterminism, HeterBoTraceBitIdenticalAcrossThreadCounts) {
-  for (const std::uint64_t seed : {7u, 19u}) {
-    search::SearchProblem base = heterogeneous_problem(space_, seed);
-    search::HeterBoSearcher reference(perf_);
-    base.threads = 1;
-    const search::SearchResult serial = reference.run(base);
-    ASSERT_FALSE(serial.trace.empty());
-
-    for (int threads : {2, 8}) {
-      search::SearchProblem parallel_problem = base;
-      parallel_problem.threads = threads;
-      search::HeterBoSearcher searcher(perf_);
-      const search::SearchResult parallel_result =
-          searcher.run(parallel_problem);
-      expect_traces_identical(
-          serial.trace, parallel_result.trace,
-          "heterbo seed=" + std::to_string(seed) +
-              " threads=" + std::to_string(threads));
-      EXPECT_EQ(serial.best_description, parallel_result.best_description);
-      EXPECT_EQ(serial.profile_cost, parallel_result.profile_cost);
-    }
-  }
-}
-
-TEST_F(TraceDeterminism, ConvBoTraceBitIdenticalAcrossThreadCounts) {
-  search::SearchProblem base = heterogeneous_problem(space_, 13);
-  search::ConvBoSearcher reference(perf_);
-  base.threads = 1;
-  const search::SearchResult serial = reference.run(base);
-  ASSERT_FALSE(serial.trace.empty());
-
-  for (int threads : {2, 8}) {
-    search::SearchProblem parallel_problem = base;
-    parallel_problem.threads = threads;
-    search::ConvBoSearcher searcher(perf_);
-    const search::SearchResult parallel_result =
-        searcher.run(parallel_problem);
-    expect_traces_identical(serial.trace, parallel_result.trace,
-                            "conv-bo threads=" + std::to_string(threads));
-  }
-}
-
 TEST_F(TraceDeterminism, RelaxedRefitScheduleStillFindsDeployments) {
   search::SearchProblem problem = heterogeneous_problem(space_, 7);
-  problem.threads = 4;
   problem.gp_refit_every = 5;
   search::HeterBoSearcher searcher(perf_);
   const search::SearchResult result = searcher.run(problem);
   EXPECT_TRUE(result.found);
   EXPECT_TRUE(result.meets_constraints(problem.scenario));
 
-  // And the relaxed schedule is itself deterministic across threads.
-  search::SearchProblem again = problem;
-  again.threads = 1;
+  // And the relaxed schedule is itself deterministic.
   search::HeterBoSearcher searcher2(perf_);
-  const search::SearchResult serial = searcher2.run(again);
-  expect_traces_identical(serial.trace, result.trace, "refit_every=5");
+  const search::SearchResult again = searcher2.run(problem);
+  expect_traces_identical(again.trace, result.trace, "refit_every=5");
 }
 
 // ------------------------------------------------------ searcher registry

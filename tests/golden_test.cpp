@@ -6,7 +6,7 @@
 // asktell_golden.txt — produced by the pre-ask/tell push-style engine).
 // The matrix covers every registered probing method x all three paper
 // scenarios x three seeds, plus fault-injection, GP-refit-cadence, spot
-// market, multi-thread, and chaos-degradation cases.
+// market, threads-echo, and chaos-degradation cases.
 //
 // Regenerating (only legitimate when the intended behavior changes):
 //   MLCD_REGEN_GOLDEN=1 ./golden_test
@@ -203,7 +203,7 @@ std::vector<GoldenCase> golden_cases() {
     c.request.use_spot = true;
     cases.push_back(std::move(c));
   }
-  // Parallel candidate scans must not change a single byte.
+  // The echoed threads request must not change a single byte.
   {
     GoldenCase c;
     c.id = "heterbo-threads4";

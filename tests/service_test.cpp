@@ -554,6 +554,35 @@ TEST(Scheduler, BatchReportsAreBitIdenticalToSoloRuns) {
   }
 }
 
+// A job's "threads" request field is echoed and has no other effect: a
+// scheduled batch at 2 lanes produces the same RunReports whether every
+// job asks for 4 scan threads or 1, apart from request.threads itself.
+TEST(Scheduler, RequestThreadsIsEchoedAndTraceNeutral) {
+  const system::Mlcd mlcd;
+  SchedulerOptions options;
+  options.threads = 2;
+  const auto run_with = [&](int job_threads) {
+    Workload workload = small_fleet();
+    workload.jobs[2].request.search_method = "conv-bo";
+    for (JobSpec& spec : workload.jobs) spec.request.threads = job_threads;
+    return Scheduler(mlcd, options).run(workload);
+  };
+  const BatchReport wide = run_with(4);
+  const BatchReport narrow = run_with(1);
+  ASSERT_EQ(wide.jobs.size(), narrow.jobs.size());
+  for (std::size_t i = 0; i < wide.jobs.size(); ++i) {
+    ASSERT_TRUE(wide.jobs[i].ok) << wide.jobs[i].name;
+    ASSERT_TRUE(narrow.jobs[i].ok) << narrow.jobs[i].name;
+    const util::JsonValue doc = util::parse_json(wide.jobs[i].report.to_json());
+    EXPECT_EQ(doc.at("request").at("threads").as_number(), 4.0)
+        << wide.jobs[i].name;
+    system::RunReport echoed = wide.jobs[i].report;
+    echoed.request.threads = 1;
+    EXPECT_EQ(echoed.to_json(), narrow.jobs[i].report.to_json())
+        << wide.jobs[i].name;
+  }
+}
+
 // A ladder-enabled job rides the batch scheduler unchanged: its report
 // stays bit-identical to the solo run, its fidelity counters land in the
 // per-job stats, and a ladder-free neighbor in the same batch reports
