@@ -6,7 +6,7 @@
 // asktell_golden.txt — produced by the pre-ask/tell push-style engine).
 // The matrix covers every registered probing method x all three paper
 // scenarios x three seeds, plus fault-injection, GP-refit-cadence, spot
-// market, threads-echo, and chaos-degradation cases.
+// market, threads-echo, capacity-outage, and chaos-degradation cases.
 //
 // Regenerating (only legitimate when the intended behavior changes):
 //   MLCD_REGEN_GOLDEN=1 ./golden_test
@@ -154,6 +154,23 @@ system::JobRequest base_request(const std::string& method,
   return request;
 }
 
+// HeterBO over three types with the eventual winner (c5.4xlarge, type 1
+// of the restricted catalog) in a scripted capacity outage until hour 1.
+// Both initialization waves skip it, so it enters the acquisition loop
+// with no curve of its own and the global 2-D surrogate prices it once
+// the outage ends.
+constexpr std::size_t kOutageType = 1;
+constexpr double kOutageEndHours = 1.0;
+
+system::JobRequest outage_fallback_request(int gp_refit_every) {
+  system::JobRequest request = base_request("heterbo", "resnet", 2, 7);
+  request.instance_types = {"c5.xlarge", "c5.4xlarge", "p2.xlarge"};
+  request.gp_refit_every = gp_refit_every;
+  request.profiler_options.faults.scheduled_outages.push_back(
+      {kOutageType, cloud::OutageEpisode{0.0, kOutageEndHours}});
+  return request;
+}
+
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   const std::vector<std::string> methods = {
@@ -211,6 +228,11 @@ std::vector<GoldenCase> golden_cases() {
     c.request.threads = 4;
     cases.push_back(std::move(c));
   }
+  // A scannable type with no curve at loop entry: the global surrogate
+  // is fitted and read, on the rebuild-every-probe and incremental paths.
+  cases.push_back({"heterbo-outage-fallback", outage_fallback_request(1)});
+  cases.push_back(
+      {"heterbo-outage-fallback-refit3", outage_fallback_request(3)});
   return cases;
 }
 
@@ -229,8 +251,12 @@ TEST(GoldenAskTell, DeployMatrixMatchesGoldenEngine) {
 
     const std::string trace_file =
         (tmp / ("mlcd_golden_" + c.id + ".csv")).string();
+    const cloud::InstanceCatalog catalog =
+        c.request.instance_types.empty()
+            ? mlcd.cloud().catalog()
+            : mlcd.cloud().catalog().subset(c.request.instance_types);
     const cloud::DeploymentSpace space(
-        mlcd.cloud().catalog(), c.request.max_nodes,
+        catalog, c.request.max_nodes,
         c.request.use_spot ? cloud::Market::kSpot : cloud::Market::kOnDemand);
     search::save_trace_csv(trace_file, report.result, space);
 
@@ -243,6 +269,33 @@ TEST(GoldenAskTell, DeployMatrixMatchesGoldenEngine) {
 
     std::remove(journal_file.c_str());
     std::remove(trace_file.c_str());
+  }
+}
+
+// The outage cases only exercise the global surrogate if the outaged type
+// is still curve-less when it becomes launchable again and the loop then
+// probes it on the surrogate's say-so.
+TEST(GoldenAskTell, OutageFallbackProbesTheRecoveredType) {
+  const system::Mlcd mlcd;
+  for (const int refit_every : {1, 3}) {
+    const system::DeployResult result =
+        mlcd.deploy(outage_fallback_request(refit_every));
+    ASSERT_TRUE(result.ok()) << result.error().message;
+    const std::vector<search::ProbeStep>& trace = result.report().result.trace;
+    bool probed_before_loop = false;
+    bool tei_after_outage = false;
+    double started_at = 0.0;
+    for (const search::ProbeStep& step : trace) {
+      if (step.deployment.type_index == kOutageType) {
+        if (step.reason != "tei") probed_before_loop = true;
+        if (step.reason == "tei" && started_at >= kOutageEndHours) {
+          tei_after_outage = true;
+        }
+      }
+      started_at = step.cum_profile_hours;
+    }
+    EXPECT_FALSE(probed_before_loop) << "refit_every=" << refit_every;
+    EXPECT_TRUE(tei_after_outage) << "refit_every=" << refit_every;
   }
 }
 
