@@ -24,8 +24,9 @@ namespace {
 /// (Figs. 9a, 15-17). A shared 2-D GP would let a slow type's
 /// observations suppress the posterior of a fast neighbouring type (the
 /// type axis is not a metric space); per-type curves cannot contaminate
-/// each other. Types with fewer than two probes fall back to the global
-/// 2-D surrogate.
+/// each other. A type with no observation at all, real or warm-start,
+/// falls back to the global 2-D surrogate, which is fitted only while
+/// some scannable type is in that state.
 ///
 /// The bank is persistent across BO iterations. The legacy code rebuilt
 /// every surrogate from scratch each iteration; here a type's curve is
@@ -39,18 +40,21 @@ namespace {
 /// opens at four.
 class SurrogateBank {
  public:
+  /// `scannable[t]`: type t can ever be a scan candidate (memory-feasible
+  /// and not cost-excluded) — the only types predict() is asked about.
   SurrogateBank(const SearchSession& session,
                 const bo::InputNormalizer& normalizer2d,
                 const std::vector<WarmStartPoint>& warm_start,
-                int refit_every)
-      : normalizer2d_(&normalizer2d),
-        warm_start_(&warm_start),
+                std::vector<bool> scannable, int refit_every)
+      : warm_start_(&warm_start),
+        scannable_(std::move(scannable)),
         refit_every_(refit_every),
         global_(normalizer2d, refit_every),
         types_(session.space().type_count()) {}
 
   /// Folds trace entries added since the last call into the per-type
-  /// curves and the global surrogate.
+  /// curves and, while some scannable type has no curve, the global
+  /// surrogate.
   void update(const SearchSession& session) {
     const auto& trace = session.trace();
     std::vector<std::vector<std::size_t>> fresh(types_.size());
@@ -90,7 +94,13 @@ class SurrogateBank {
       state.adds_since_build += static_cast<int>(fresh[t].size());
     }
     built_ = true;
-    global_ready_ = global_.update(session);
+    // A curve, once built, is dropped only by invalidate(), which rebuilds
+    // every type from the same (grown) data: real probes accumulate and
+    // warm-start points are fixed. So the set of curve-less scannable
+    // types only shrinks, and once it is empty predict() never reads the
+    // global surrogate again, so skipping its refits from then on cannot
+    // change a trace.
+    global_ready_ = global_needed() && global_.update(session);
   }
 
   /// Drops every fitted curve and rewinds the trace cursor so the next
@@ -110,9 +120,8 @@ class SurrogateBank {
     built_ = false;
   }
 
-  /// Posterior for one candidate. Safe to call concurrently as long as
-  /// each caller passes a distinct cache (the bank itself is read-only
-  /// here; see GpRegressor::predict_cached).
+  /// Posterior for one candidate of a scannable type; `cache` is the
+  /// candidate's own (see GpRegressor::predict_cached).
   gp::Prediction predict(const SearchSession& session,
                          const cloud::Deployment& d,
                          std::span<const double> unit2d,
@@ -140,6 +149,13 @@ class SurrogateBank {
     std::size_t real_obs = 0;  // non-failed probes incorporated so far
     int adds_since_build = 0;
   };
+
+  bool global_needed() const {
+    for (std::size_t t = 0; t < types_.size(); ++t) {
+      if (scannable_[t] && !types_[t].gp) return true;
+    }
+    return false;
+  }
 
   /// Legacy per-type construction, verbatim: real probes of the type
   /// from the full trace, warm-start fallback below two real points,
@@ -208,8 +224,8 @@ class SurrogateBank {
     types_[t].gp.emplace(std::move(fit));
   }
 
-  const bo::InputNormalizer* normalizer2d_;
   const std::vector<WarmStartPoint>* warm_start_;
+  std::vector<bool> scannable_;
   int refit_every_;
   TraceSurrogate global_;
   bool global_ready_ = false;
@@ -543,8 +559,12 @@ class HeterBoStrategy final : public SearchStrategy {
       unit2d_[i] = normalizer_->normalize(deployment_coords(all_[i]));
     }
     caches_.resize(m);
+    std::vector<bool> scannable(space.type_count());
+    for (std::size_t t = 0; t < scannable.size(); ++t) {
+      scannable[t] = min_feasible_[t] >= 0 && !excluded_[t];
+    }
     surrogates_ = std::make_unique<SurrogateBank>(
-        session, *normalizer_, options_.warm_start,
+        session, *normalizer_, options_.warm_start, std::move(scannable),
         session.problem().gp_refit_every);
     phase_ = Phase::kLoop;
   }
