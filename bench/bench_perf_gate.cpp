@@ -2,35 +2,31 @@
 //
 // Measures the two throughputs the fast-path BO engine exists for —
 // incremental GP updates and cached acquisition scans — plus one
-// HeterBO run's wall time, and writes them to BENCH_PR2.json. With
-// --baseline it compares against a previous run and exits nonzero when
-// either throughput regressed by more than --max-regression (default
-// 20%).
+// HeterBO run's wall time and the cost of write-ahead journaling, and
+// records them in the observatory's pr2-fastpath-gate suite
+// (bench_out/obs/pr2-fastpath-gate.json, appended to the history under
+// MLCD_OBS_HISTORY_DIR). Regressions against earlier runs are
+// `mlcd perfcheck`'s job; this binary hard-gates only the journaling
+// claim.
 //
-// Absolute ops/sec are machine-dependent, so cross-machine comparisons
-// (a CI runner vs the machine that committed the baseline) are made on
-// calibration-normalized ratios: every throughput is divided by the
-// machine's serial GP-fit throughput measured in the same process.
+// Absolute ops/sec are machine-dependent, so perfcheck compares the
+// throughputs calibration-normalized: each is divided by the machine's
+// serial GP-fit throughput measured in the same process.
 //
 // The binary also carries the PR-7 multi-fidelity gate: a deterministic
 // HeterBO ladder-vs-full series over the paper's two constrained
-// scenarios, written to BENCH_PR7.json (--out7/--baseline7). Gated
+// scenarios, recorded in the pr7-multi-fidelity-gate suite. Gated
 // claims: probe cost >= 5% lower with the ladder, final deployment
 // within 10% of the full-fidelity pick, constraints preserved.
 //
 // Usage:
-//   bench_perf_gate [--out FILE] [--baseline FILE]
-//                   [--out7 FILE] [--baseline7 FILE]
-//                   [--max-regression FRACTION] [--quick]
+//   bench_perf_gate [--quick]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,9 +37,7 @@
 #include "journal/journal.hpp"
 #include "profiler/fidelity.hpp"
 #include "search/heter_bo.hpp"
-#include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -118,8 +112,8 @@ double gp_incremental_adds_per_sec(int adds, int trials) {
     gp::GpRegressor gp = frozen_gp(64);
     for (const auto& p : points) gp.add_observation(p, 0.5);
   });
-  // Subtract nothing for the initial fit: it is shared across trials'
-  // comparisons (baseline and candidate measure the identical workload).
+  // Subtract nothing for the initial fit: every run measures the
+  // identical workload, so runs stay comparable.
   return adds / secs;
 }
 
@@ -312,36 +306,17 @@ std::vector<FidelityScenarioReport> multi_fidelity_comparison() {
 }
 
 int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--out FILE] [--baseline FILE] "
-               "[--out7 FILE] [--baseline7 FILE] "
-               "[--max-regression FRACTION] [--quick]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--quick]\n", argv0);
   return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_PR2.json";
-  std::string baseline_path;
-  std::string out7_path = "BENCH_PR7.json";
-  std::string baseline7_path;
-  double max_regression = 0.20;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--out7" && i + 1 < argc) {
-      out7_path = argv[++i];
-    } else if (arg == "--baseline7" && i + 1 < argc) {
-      baseline7_path = argv[++i];
-    } else if (arg == "--max-regression" && i + 1 < argc) {
-      max_regression = std::atof(argv[++i]);
-    } else if (arg == "--quick") {
+    if (arg == "--quick") {
       quick = true;
     } else {
       return usage(argv[0]);
@@ -382,21 +357,6 @@ int main(int argc, char** argv) {
     bench::record_gate_metric("pr2-fastpath-gate", name, value);
   }
 
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("schema_version").value(1);
-  json.key("bench").value("pr2-fastpath-gate");
-  json.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json.key("metrics").begin_object();
-  for (const auto& [name, value] : metrics) json.key(name).value(value);
-  json.end_object();
-  json.end_object();
-  {
-    std::ofstream out(out_path);
-    out << json.str() << "\n";
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-
   bool ok = true;
   if (journal_report.overhead_vs_search_wall > 0.05) {
     std::fprintf(stderr,
@@ -409,56 +369,16 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "GATE FAIL: cannot read baseline %s\n",
-                   baseline_path.c_str());
-      return bench::finish_metrics(1);
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue baseline = util::parse_json(buffer.str());
-    const util::JsonValue& base_metrics = baseline.at("metrics");
-    const double base_calibration =
-        base_metrics.at("calibration_fits_per_sec").as_number();
-    // Calibration-normalized comparison: machine speed cancels out.
-    for (const char* key :
-         {"gp_incremental_adds_per_sec", "acq_scan_candidates_per_sec_t1"}) {
-      if (!base_metrics.contains(key)) continue;
-      const double base_ratio =
-          base_metrics.at(key).as_number() / base_calibration;
-      const double ratio = metrics[key] / calibration;
-      if (ratio < (1.0 - max_regression) * base_ratio) {
-        std::fprintf(stderr,
-                     "GATE FAIL: %s regressed %.1f%% vs baseline "
-                     "(calibration-normalized %.4g -> %.4g)\n",
-                     key, 100.0 * (1.0 - ratio / base_ratio), base_ratio,
-                     ratio);
-        ok = false;
-      } else {
-        std::printf("  baseline check %-32s ok (%+.1f%%)\n", key,
-                    100.0 * (ratio / base_ratio - 1.0));
-      }
-    }
-  }
-
   // ------------------------------------------ PR-7 multi-fidelity gate
   //
   // Everything below is deterministic simulation (dollars and simulated
   // hours, not wall time), so the numbers are machine-independent and
-  // the baseline comparison needs no calibration.
+  // need no calibration.
   std::printf("PR-7 multi-fidelity gate: running HeterBO ladder-vs-full "
               "series...\n");
   const std::vector<FidelityScenarioReport> fidelity =
       multi_fidelity_comparison();
 
-  util::JsonWriter json7;
-  json7.begin_object();
-  json7.key("schema_version").value(1);
-  json7.key("bench").value("pr7-multi-fidelity-gate");
-  json7.key("ladder").value("0.5:1,0.25:2");
-  json7.key("scenarios").begin_array();
   for (const FidelityScenarioReport& r : fidelity) {
     const double cost_ratio =
         r.full_probe_cost > 0.0 ? r.ladder_probe_cost / r.full_probe_cost
@@ -471,18 +391,6 @@ int main(int argc, char** argv) {
         r.name.c_str(), r.ladder_probe_cost, r.full_probe_cost,
         100.0 * cost_ratio, r.ladder_quality, r.full_quality,
         100.0 * (quality_ratio - 1.0), r.seeds);
-    json7.begin_object();
-    json7.key("scenario").value(r.name);
-    json7.key("seeds").value(r.seeds);
-    json7.key("ladder_probe_cost").value(r.ladder_probe_cost);
-    json7.key("full_probe_cost").value(r.full_probe_cost);
-    json7.key("probe_cost_ratio").value(cost_ratio);
-    json7.key("ladder_quality").value(r.ladder_quality);
-    json7.key("full_quality").value(r.full_quality);
-    json7.key("quality_ratio").value(quality_ratio);
-    json7.key("all_found").value(r.all_found);
-    json7.key("constraints_ok").value(r.constraints_ok);
-    json7.end_object();
 
     const std::string prefix = r.name + ".";
     bench::record_gate_metric("pr7-multi-fidelity-gate", prefix + "seeds",
@@ -531,45 +439,6 @@ int main(int argc, char** argv) {
                    "worse than full-fidelity (<= 10%% allowed)\n",
                    r.name.c_str(), 100.0 * (quality_ratio - 1.0));
       ok = false;
-    }
-  }
-  json7.end_array();
-  json7.end_object();
-  {
-    std::ofstream out(out7_path);
-    out << json7.str() << "\n";
-  }
-  std::printf("wrote %s\n", out7_path.c_str());
-
-  if (!baseline7_path.empty()) {
-    std::ifstream in(baseline7_path);
-    if (!in) {
-      std::fprintf(stderr, "GATE FAIL: cannot read baseline %s\n",
-                   baseline7_path.c_str());
-      return bench::finish_metrics(1);
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const util::JsonValue baseline = util::parse_json(buffer.str());
-    for (const util::JsonValue& base : baseline.at("scenarios").as_array()) {
-      const std::string name = base.at("scenario").as_string();
-      for (const FidelityScenarioReport& r : fidelity) {
-        if (r.name != name) continue;
-        const double base_ratio = base.at("probe_cost_ratio").as_number();
-        const double ratio = r.full_probe_cost > 0.0
-                                 ? r.ladder_probe_cost / r.full_probe_cost
-                                 : 1.0;
-        if (ratio > base_ratio * (1.0 + max_regression)) {
-          std::fprintf(stderr,
-                       "GATE FAIL: %s probe-cost ratio regressed "
-                       "%.4g -> %.4g vs baseline\n",
-                       name.c_str(), base_ratio, ratio);
-          ok = false;
-        } else {
-          std::printf("  baseline7 check %-31s ok (%.4g vs %.4g)\n",
-                      name.c_str(), ratio, base_ratio);
-        }
-      }
     }
   }
 

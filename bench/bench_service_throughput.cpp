@@ -5,73 +5,65 @@
 // counts and measures what the service layer exists for — aggregate
 // jobs/sec, cross-job probe-cache reuse, and capacity-queue pressure —
 // plus the determinism contract (per-job reports bit-identical between
-// the serial and the 4-lane schedule), and writes them to
-// BENCH_PR4.json. With --baseline it compares against a previous run
-// and exits nonzero when either gated ratio regressed by more than
-// --max-regression (default 20%).
+// the serial and the 4-lane schedule). Each series is recorded in its
+// own observatory suite (bench_out/obs/<suite>.json, appended to the
+// history under MLCD_OBS_HISTORY_DIR): pr4-service-gate,
+// pr6-chaos-gate, pr8-durability-gate and pr10-sharded-gate.
+// Regressions against earlier runs are `mlcd perfcheck`'s job; this
+// binary hard-gates the contracts below.
 //
 // The contended run puts a probe-dense fleet under hard capacity
 // pressure (a pool the size of one max-size probe, shared cache off).
 // Gated: sessions must actually park there, or the park/resume path
-// went unexercised. It is the fault-free baseline of the PR-6 and PR-8
-// series below.
+// went unexercised. It is the fault-free reference of the PR-6 and
+// PR-8 series below.
 //
 // The PR-6 chaos series re-runs the contended configuration with the
 // service-level ChaosInjector firing lane crashes at a 10% per-step
 // rate (the recovery machinery of docs/chaos.md: crash-restaged
-// sessions, zero re-executed probes) and writes the comparison to
-// BENCH_PR6.json. Gated: every job must still succeed, crashes must
-// actually fire, jobs untouched by crashes must stay bit-identical to
-// the fault-free run, and the chaotic makespan may exceed the
-// fault-free makespan by at most 25%.
+// sessions, zero re-executed probes). Gated: every job must still
+// succeed, crashes must actually fire, jobs untouched by crashes must
+// stay bit-identical to the fault-free run, and the chaotic makespan
+// may exceed the fault-free makespan by at most 25%.
 //
 // The PR-8 durability series re-runs the contended fleet as a durable
-// batch (--journal-dir: write-ahead batch manifest plus one fsync'd
-// run journal per job) and writes the comparison to BENCH_PR8.json.
-// Per-probe fsync is the PR-3 run journal's price and dwarfs a
-// *simulated* probe (~5us of work vs ~100us of fsync), so the gated
-// ratio isolates what the batch layer adds on top: both sides carry
-// per-job run journals — the baseline declares one per job, the
-// durable batch auto-manages them — and the ratio measures the batch
-// manifest alone (one header + three lifecycle records per job),
+// batch (--journal-dir: write-ahead batch manifest plus one fsync'd run
+// journal per job). Per-probe fsync is the PR-3 run journal's price and
+// dwarfs a *simulated* probe (~5us of work vs ~100us of fsync), so the
+// gated ratio isolates what the batch layer adds on top: both sides
+// carry per-job run journals — the reference run declares one per job,
+// the durable batch auto-manages them — and the ratio measures the
+// batch manifest alone (one header + three lifecycle records per job),
 // gated < 5% of the contended batch's wall time. The full cost of
 // per-probe durability vs the bare fleet is reported ungated as
 // durability_overhead_ratio: against real probes (minutes to hours) a
 // fsync is noise, but against simulated probes it would gate nothing
 // except the runner's disk. Also gated: the probe-free replay of the
-// finished batch via --resume (every report bit-identical to the
-// fresh run, zero probes re-executed).
+// finished batch via --resume (every report bit-identical to the fresh
+// run, zero probes re-executed).
 //
 // The PR-10 sharded-core series stresses the low-contention service
 // core at scale: a 128-session fleet over 8 tenants, swept across
 // lane counts (1/2/4/16), under real capacity pressure so sessions park
-// and resume on their owner lanes while idle lanes steal. Written to
-// BENCH_PR10.json and the pr10-sharded-gate observatory suite. Gated: every run's
-// per-job reports bit-identical to the 1-lane schedule (work stealing
-// must not perturb a single trace), steals and parks actually fire,
-// the cache runs striped, and — on machines with >= 4 cores — the
-// 4-lane speedup exceeds 1.0x and the 16-lane idle fraction stays
+// and resume on their owner lanes while idle lanes steal. Gated: every
+// run's per-job reports bit-identical to the 1-lane schedule (work
+// stealing must not perturb a single trace), steals and parks actually
+// fire, the cache runs striped, and — on machines with >= 4 cores —
+// the 4-lane speedup exceeds 1.0x and the 16-lane idle fraction stays
 // under 0.35.
 //
-// Absolute jobs/sec are machine-dependent, so only ratios are gated and
-// baseline-compared: the t4-vs-serial speedup and the probe-cache hit
-// rate are both dimensionless and cancel machine speed out, which keeps
-// the committed baseline meaningful on CI runners of any size.
+// Absolute jobs/sec are machine-dependent; the ratios perfcheck alerts
+// on (the t4-vs-serial speedup, the probe-cache hit rate, the chaos
+// and journal throughput ratios) are dimensionless and cancel machine
+// speed out.
 //
 // Usage:
-//   bench_service_throughput [--out FILE] [--out6 FILE] [--out8 FILE]
-//                            [--out10 FILE] [--baseline FILE]
-//                            [--baseline6 FILE] [--baseline8 FILE]
-//                            [--baseline10 FILE]
-//                            [--max-regression FRACTION] [--quick]
+//   bench_service_throughput [--quick]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -83,7 +75,6 @@
 #include "service/batch_report.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
-#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -199,98 +190,17 @@ service::Workload sharded_fleet() {
 }
 
 int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--out FILE] [--out6 FILE] [--out8 FILE] "
-               "[--out10 FILE] [--baseline FILE] [--baseline6 FILE] "
-               "[--baseline8 FILE] [--baseline10 FILE] "
-               "[--max-regression FRACTION] [--quick]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s [--quick]\n", argv0);
   return 2;
-}
-
-/// Baseline ratio check shared by the series gates: fails when
-/// `value` fell more than `max_regression` below the baseline's number
-/// for any of `keys` (higher = better for every gated metric).
-bool check_baseline(const std::string& path,
-                    const std::vector<const char*>& keys,
-                    std::map<std::string, double>& metrics,
-                    double max_regression, bool skip_parallel_ratios) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "GATE FAIL: cannot read baseline %s\n",
-                 path.c_str());
-    return false;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const util::JsonValue baseline = util::parse_json(buffer.str());
-  const util::JsonValue& base_metrics = baseline.at("metrics");
-  const int base_cores =
-      baseline.contains("hardware_threads")
-          ? static_cast<int>(baseline.at("hardware_threads").as_number())
-          : 0;
-  bool ok = true;
-  for (const char* key : keys) {
-    if (!base_metrics.contains(key)) continue;
-    // Parallelism ratios need >= 4 cores on *both* sides to mean
-    // anything (a 1-core box can only ever measure ~1.0x).
-    if (skip_parallel_ratios &&
-        (base_cores < 4 || util::ThreadPool::hardware_threads() < 4) &&
-        std::string(key) != "cache_hit_rate_t4") {
-      std::printf("  baseline check %-32s skipped (<4 cores)\n", key);
-      continue;
-    }
-    const double base_value = base_metrics.at(key).as_number();
-    const double value = metrics[key];
-    if (value < (1.0 - max_regression) * base_value) {
-      std::fprintf(stderr,
-                   "GATE FAIL: %s regressed %.1f%% vs baseline "
-                   "(%.4g -> %.4g)\n",
-                   key, 100.0 * (1.0 - value / base_value), base_value,
-                   value);
-      ok = false;
-    } else {
-      std::printf("  baseline check %-32s ok (%+.1f%%)\n", key,
-                  100.0 * (value / base_value - 1.0));
-    }
-  }
-  return ok;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_PR4.json";
-  std::string out6_path = "BENCH_PR6.json";
-  std::string out8_path = "BENCH_PR8.json";
-  std::string out10_path = "BENCH_PR10.json";
-  std::string baseline_path;
-  std::string baseline6_path;
-  std::string baseline8_path;
-  std::string baseline10_path;
-  double max_regression = 0.20;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--out6" && i + 1 < argc) {
-      out6_path = argv[++i];
-    } else if (arg == "--out8" && i + 1 < argc) {
-      out8_path = argv[++i];
-    } else if (arg == "--out10" && i + 1 < argc) {
-      out10_path = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--baseline6" && i + 1 < argc) {
-      baseline6_path = argv[++i];
-    } else if (arg == "--baseline8" && i + 1 < argc) {
-      baseline8_path = argv[++i];
-    } else if (arg == "--baseline10" && i + 1 < argc) {
-      baseline10_path = argv[++i];
-    } else if (arg == "--max-regression" && i + 1 < argc) {
-      max_regression = std::atof(argv[++i]);
-    } else if (arg == "--quick") {
+    if (arg == "--quick") {
       quick = true;
     } else {
       return usage(argv[0]);
@@ -439,25 +349,6 @@ int main(int argc, char** argv) {
   std::printf("  %-34s %s (%d jobs)\n", "batch_reports_identical_t1_t4",
               identical ? "yes" : "NO", static_cast<int>(n_jobs));
 
-  util::JsonWriter json;
-  json.begin_object();
-  json.key("schema_version").value(1);
-  json.key("bench").value("pr4-service-gate");
-  json.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json.key("metrics").begin_object();
-  for (const auto& [name, value] : metrics) json.key(name).value(value);
-  json.end_object();
-  json.key("determinism").begin_object();
-  json.key("batch_reports_identical_t1_t4").value(identical);
-  json.key("jobs").value(static_cast<std::int64_t>(workload.jobs.size()));
-  json.end_object();
-  json.end_object();
-  {
-    std::ofstream out(out_path);
-    out << json.str() << "\n";
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-
   const int session_parks = contended_report.total_session_parks();
   std::printf("contended run (4 lanes, 8-node pool, no cache): %d session "
               "parks\n",
@@ -488,8 +379,7 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> pr6_metrics;
   pr6_metrics["chaos_makespan_overhead"] = chaos_overhead;
-  // Higher = better (1.0 = free recovery), so the shared baseline gate
-  // applies directly.
+  // Higher = better (1.0 = free recovery).
   pr6_metrics["chaos_throughput_ratio"] =
       chaos_secs > 0.0 ? contended_secs / chaos_secs : 0.0;
   pr6_metrics["chaos_lane_crashes"] =
@@ -513,30 +403,6 @@ int main(int argc, char** argv) {
               chaos_all_ok ? "yes" : "NO");
   std::printf("  %-34s %s\n", "chaos_untouched_jobs_identical",
               chaos_untouched_identical ? "yes" : "NO");
-
-  util::JsonWriter json6;
-  json6.begin_object();
-  json6.key("schema_version").value(1);
-  json6.key("bench").value("pr6-chaos-gate");
-  json6.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json6.key("chaos_seed")
-      .value(static_cast<std::int64_t>(chaotic.chaos.seed));
-  json6.key("lane_crash_rate").value(chaotic.chaos.lane_crash_rate);
-  json6.key("metrics").begin_object();
-  for (const auto& [name, value] : pr6_metrics) json6.key(name).value(value);
-  json6.end_object();
-  json6.key("determinism").begin_object();
-  json6.key("chaos_all_jobs_ok").value(chaos_all_ok);
-  json6.key("chaos_untouched_jobs_identical")
-      .value(chaos_untouched_identical);
-  json6.key("jobs").value(static_cast<std::int64_t>(contended.jobs.size()));
-  json6.end_object();
-  json6.end_object();
-  {
-    std::ofstream out(out6_path);
-    out << json6.str() << "\n";
-  }
-  std::printf("wrote %s\n", out6_path.c_str());
 
   // ---------------------------------------------- PR-8 durability series
   // The contended fleet re-run as a durable batch. The gated ratio
@@ -637,7 +503,7 @@ int main(int argc, char** argv) {
 
   std::map<std::string, double> pr8_metrics;
   pr8_metrics["batch_journal_overhead_ratio"] = journal_overhead_ratio;
-  // Higher = better, for the shared baseline gate.
+  // Higher = better.
   pr8_metrics["journal_throughput_ratio"] =
       journaled_secs > 0.0 ? self_secs / journaled_secs : 0.0;
   // Ungated: what fsync-per-probe costs against 5us simulated probes.
@@ -668,27 +534,6 @@ int main(int argc, char** argv) {
               journaled_identical ? "yes" : "NO");
   std::printf("  %-34s %s\n", "replayed_reports_identical",
               replay_identical ? "yes" : "NO");
-
-  util::JsonWriter json8;
-  json8.begin_object();
-  json8.key("schema_version").value(1);
-  json8.key("bench").value("pr8-durability-gate");
-  json8.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json8.key("metrics").begin_object();
-  for (const auto& [name, value] : pr8_metrics) json8.key(name).value(value);
-  json8.end_object();
-  json8.key("determinism").begin_object();
-  json8.key("self_journaled_reports_identical").value(self_identical);
-  json8.key("journaled_reports_identical").value(journaled_identical);
-  json8.key("replayed_reports_identical").value(replay_identical);
-  json8.key("jobs").value(static_cast<std::int64_t>(contended.jobs.size()));
-  json8.end_object();
-  json8.end_object();
-  {
-    std::ofstream out(out8_path);
-    out << json8.str() << "\n";
-  }
-  std::printf("wrote %s\n", out8_path.c_str());
   std::filesystem::remove_all(dir8);
 
   // ------------------------------------------- PR-10 sharded-core series
@@ -757,27 +602,6 @@ int main(int argc, char** argv) {
               sweep_identical ? "yes" : "NO");
   std::printf("  %-34s %d\n", "session_parks_l16", parks10);
   std::printf("  %-34s %d\n", "cache_stripes", wide.cache.stripes);
-
-  util::JsonWriter json10;
-  json10.begin_object();
-  json10.key("schema_version").value(1);
-  json10.key("bench").value("pr10-sharded-gate");
-  json10.key("hardware_threads").value(util::ThreadPool::hardware_threads());
-  json10.key("metrics").begin_object();
-  for (const auto& [name, value] : pr10_metrics) {
-    json10.key(name).value(value);
-  }
-  json10.end_object();
-  json10.key("determinism").begin_object();
-  json10.key("reports_identical_l1_l2_l4_l16").value(sweep_identical);
-  json10.key("jobs").value(static_cast<std::int64_t>(sharded.jobs.size()));
-  json10.end_object();
-  json10.end_object();
-  {
-    std::ofstream out(out10_path);
-    out << json10.str() << "\n";
-  }
-  std::printf("wrote %s\n", out10_path.c_str());
 
   bool ok = true;
   if (!self_identical || !journaled_identical) {
@@ -899,41 +723,6 @@ int main(int argc, char** argv) {
                    lane_idle_16);
       ok = false;
     }
-  }
-
-  // Only dimensionless ratios are compared: machine speed cancels out.
-  if (!baseline_path.empty() &&
-      !check_baseline(baseline_path,
-                      {"jobs_per_sec_speedup_t4", "cache_hit_rate_t4"},
-                      metrics, max_regression,
-                      /*skip_parallel_ratios=*/true)) {
-    ok = false;
-  }
-  // PR-6 baseline: the fault-free-over-chaotic throughput ratio is
-  // dimensionless and meaningful at any core count.
-  if (!baseline6_path.empty() &&
-      !check_baseline(baseline6_path, {"chaos_throughput_ratio"},
-                      pr6_metrics, max_regression,
-                      /*skip_parallel_ratios=*/false)) {
-    ok = false;
-  }
-
-  // PR-8 baseline: the per-job-journals-over-durable-batch throughput
-  // ratio is dimensionless and meaningful at any core count.
-  if (!baseline8_path.empty() &&
-      !check_baseline(baseline8_path, {"journal_throughput_ratio"},
-                      pr8_metrics, max_regression,
-                      /*skip_parallel_ratios=*/false)) {
-    ok = false;
-  }
-
-  // PR-10 baseline: only the lane speedup — a parallelism ratio that
-  // needs >= 4 cores on both sides.
-  if (!baseline10_path.empty() &&
-      !check_baseline(baseline10_path, {"jobs_per_sec_speedup_t4"},
-                      pr10_metrics, max_regression,
-                      /*skip_parallel_ratios=*/true)) {
-    ok = false;
   }
 
   if (ok) std::printf("gate passed\n");

@@ -1,24 +1,18 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <fstream>
 
-#include <filesystem>
-
 #include "cli/args.hpp"
 #include "cloud/catalog_io.hpp"
-#include "obs/history.hpp"
 #include "obs/perfcheck.hpp"
-#include "util/json.hpp"
 #include "journal/journal.hpp"
 #include "search/registry.hpp"
 #include "search/trace_io.hpp"
@@ -45,8 +39,6 @@ usage:
   mlcd export-catalog --out <file.csv>   dump the built-in catalog as CSV
   mlcd perfcheck [options]               check the committed perf
                                          time-series for regressions
-  mlcd perfcheck migrate <snap.json>...  convert legacy BENCH_*.json gate
-                                         snapshots into history records
   mlcd help                              this text
 
 deploy/compare options:
@@ -165,14 +157,12 @@ perfcheck options (regression alerting; see docs/observability.md):
   --threads <n>         evaluate min_threads gates against this count
                         instead of the latest record's own
   --verbose             list every metric, not just regressions
-  --run-id <id>         (migrate) force the run id; default derives it
-                        from the snapshot file name (BENCH_PR2 -> pr2)
 
 perfcheck exit codes:
   0  every alerting metric within its allowed window
   1  regressions (or alerting metrics missing from the latest run)
   2  usage error (bad flags)
-  3  history/snapshot unreadable, malformed, or absent
+  3  history unreadable, malformed, or absent
 )";
 
 int usage_error(std::ostream& err, const std::string& message) {
@@ -210,7 +200,7 @@ const std::map<std::string, std::vector<std::string>>& command_options() {
         {"export-catalog", {"out"}},
         {"perfcheck",
          {"history-dir", "suite", "window", "min-noise", "threads",
-          "verbose", "run-id"}},
+          "verbose"}},
     };
   }();
   return kOptions;
@@ -529,17 +519,6 @@ int cmd_instances(const Args& args, std::ostream& out) {
   return 0;
 }
 
-// "path/to/BENCH_PR2.json" -> "pr2": the migrated record's run id tags
-// which PR's gate produced the numbers.
-std::string run_id_from_snapshot_path(const std::string& path) {
-  std::string stem = std::filesystem::path(path).stem().string();
-  if (stem.rfind("BENCH_", 0) == 0) stem = stem.substr(6);
-  for (char& c : stem) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return stem.empty() ? "legacy" : stem;
-}
-
 int cmd_perfcheck(const Args& args, std::ostream& out, std::ostream& err) {
   try {
     obs::PerfcheckOptions options;
@@ -553,40 +532,6 @@ int cmd_perfcheck(const Args& args, std::ostream& out, std::ostream& err) {
     }
     if (const auto threads = args.get("threads")) {
       options.hardware_threads = parse_positive_int(*threads);
-    }
-
-    const std::vector<std::string>& positional = args.positional();
-    if (positional.size() > 1 && positional[1] == "migrate") {
-      if (positional.size() < 3) {
-        return usage_error(err, "perfcheck migrate needs snapshot files: "
-                                "mlcd perfcheck migrate <BENCH_*.json>...");
-      }
-      for (std::size_t i = 2; i < positional.size(); ++i) {
-        const std::string& path = positional[i];
-        std::ifstream in(path, std::ios::binary);
-        if (!in) {
-          err << "mlcd: cannot read '" << path << "'\n";
-          return 3;
-        }
-        std::ostringstream buffer;
-        buffer << in.rdbuf();
-        obs::HistoryRecord record;
-        try {
-          record = obs::convert_legacy_snapshot(
-              util::parse_json(buffer.str()),
-              args.get_or("run-id", run_id_from_snapshot_path(path)));
-        } catch (const std::exception& e) {
-          err << "mlcd: " << path << ": " << e.what() << "\n";
-          return 3;
-        }
-        const std::string dest =
-            obs::history_path(options.history_dir, record.suite);
-        obs::append_history(dest, record);
-        out << "migrated " << path << " -> " << dest << " (run "
-            << record.run_id << ", " << record.metrics.size()
-            << " metrics)\n";
-      }
-      return 0;
     }
 
     obs::PerfcheckReport report;
@@ -662,6 +607,14 @@ int run(int argc, const char* const* argv, std::ostream& out,
       return usage_error(err, "unknown option --" + name + " for '" +
                                   command + "'");
     }
+  }
+  // Likewise for words after the command: batch takes one (its
+  // workload file), every other command none.
+  const std::size_t max_words = command == "batch" ? 2 : 1;
+  if (positional.size() > max_words) {
+    return usage_error(err, "unexpected argument '" +
+                                positional[max_words] + "' for '" +
+                                command + "'");
   }
   if (command == "deploy") return cmd_deploy(args, out, err);
   if (command == "batch") return cmd_batch(args, out, err);

@@ -1,12 +1,10 @@
 // Metadata catalog for the gate benches' metric series.
 //
 // One table declares unit, direction, alerting contract, and
-// normalization rule for every metric the PR-2..PR-8 gate benches
-// publish, so the live emitters (bench_perf_gate,
-// bench_service_throughput) and the one-shot legacy snapshot converter
-// (perfcheck.hpp) stamp identical schemas — the migrated BENCH_PR*.json
-// history and the records fresh runs append must form one comparable
-// time-series.
+// normalization rule for every metric the PR-2..PR-10 gate benches
+// (bench_perf_gate, bench_service_throughput) publish, so every record
+// a run appends to a suite's history carries the same schema and the
+// series stays comparable for perfcheck (perfcheck.hpp).
 #pragma once
 
 #include <string>

@@ -1,16 +1,14 @@
 // Uniform metric schema for the performance observatory.
 //
-// Every bench binary used to invent its own JSON shape (BENCH_PR*.json
-// each had a private metrics object and a private gate); the observatory
-// replaces those with one record type every emitter shares. A
-// MetricSample names one measured quantity — its unit, its direction
-// (lower_is_better), its replicate values, and the alerting contract the
-// regression checker (perfcheck.hpp) applies against the committed
-// time-series. The schema is deliberately Perfherder-shaped: the fields
-// mirror the `perfherder_metrics` entries (name / unit / shouldAlert)
-// that project-foxhound's model perf tests publish, extended with the
-// calibration-normalization rule our cross-machine gates already rely
-// on (docs/performance.md).
+// Every bench binary publishes its numbers as one record type that all
+// emitters share. A MetricSample names one measured quantity — its
+// unit, its direction (lower_is_better), its replicate values, and the
+// alerting contract the regression checker (perfcheck.hpp) applies
+// against the committed time-series. The schema is deliberately
+// Perfherder-shaped: the fields mirror the `perfherder_metrics` entries
+// (name / unit / shouldAlert) that project-foxhound's model perf tests
+// publish, extended with the calibration-normalization rule our
+// cross-machine gates already rely on (docs/performance.md).
 #pragma once
 
 #include <cmath>

@@ -10,8 +10,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/gate_metrics.hpp"
-#include "util/json.hpp"
 
 namespace mlcd::obs {
 
@@ -369,49 +367,6 @@ PerfcheckReport run_perfcheck(const PerfcheckOptions& options) {
                              options.history_dir + "'");
   }
   return report;
-}
-
-HistoryRecord convert_legacy_snapshot(const util::JsonValue& snapshot,
-                                      const std::string& run_id) {
-  if (!snapshot.is_object() || !snapshot.contains("bench")) {
-    throw std::invalid_argument(
-        "legacy snapshot: expected an object with a 'bench' key");
-  }
-  HistoryRecord record;
-  record.suite = snapshot.at("bench").as_string();
-  record.run_id = run_id;
-  if (snapshot.contains("hardware_threads")) {
-    record.hardware_threads =
-        static_cast<int>(snapshot.at("hardware_threads").as_number());
-  }
-
-  bool found = false;
-  if (snapshot.contains("metrics")) {
-    found = true;
-    for (const auto& [name, value] : snapshot.at("metrics").as_object()) {
-      if (!value.is_number()) continue;
-      record.metrics.push_back(
-          gate_metric(record.suite, name, value.as_number()));
-    }
-  }
-  if (snapshot.contains("scenarios")) {
-    found = true;
-    for (const util::JsonValue& scenario :
-         snapshot.at("scenarios").as_array()) {
-      const std::string prefix = scenario.at("scenario").as_string();
-      for (const auto& [key, value] : scenario.as_object()) {
-        if (key == "scenario" || !value.is_number()) continue;
-        record.metrics.push_back(
-            gate_metric(record.suite, prefix + "." + key,
-                        value.as_number()));
-      }
-    }
-  }
-  if (!found) {
-    throw std::invalid_argument("legacy snapshot '" + record.suite +
-                                "': no 'metrics' or 'scenarios' section");
-  }
-  return record;
 }
 
 }  // namespace mlcd::obs

@@ -9,20 +9,12 @@
 // strictly greater than the allowed window (a change exactly at the
 // threshold passes), in the metric's bad direction only — improvements
 // never alert.
-//
-// Also home of the one-shot converter that migrates the legacy
-// BENCH_PR*.json gate snapshots into history records, so the observatory
-// opens with a multi-PR baseline instead of an empty file.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "obs/history.hpp"
-
-namespace mlcd::util {
-class JsonValue;
-}
 
 namespace mlcd::obs {
 
@@ -83,13 +75,5 @@ std::vector<MetricVerdict> check_suite(const std::vector<HistoryRecord>& records
 /// Throws std::invalid_argument on malformed history and
 /// std::runtime_error when the directory is missing or holds no suites.
 PerfcheckReport run_perfcheck(const PerfcheckOptions& options);
-
-/// Converts one legacy BENCH_PR*.json gate snapshot into a history
-/// record, stamping each value with the gate_metric() catalog metadata.
-/// Handles both the flat {"metrics": {...}} shape (PR 2/4/5/6/8) and the
-/// {"scenarios": [...]} shape (PR 7, emitted as "<scenario>.<key>").
-/// Throws std::invalid_argument on an unrecognized snapshot.
-HistoryRecord convert_legacy_snapshot(const util::JsonValue& snapshot,
-                                      const std::string& run_id);
 
 }  // namespace mlcd::obs

@@ -3,10 +3,10 @@
 //
 // PR 4/5's scheduler funneled every probe-granularity decision — claim
 // a fresh job, pick up a resumed session, park for capacity, finish —
-// through one batch-wide mutex, which BENCH_PR4 showed turning into
-// negative scaling (jobs/sec *shrinking* with lanes). This header
-// splits that mutex three ways, each piece sized to what it actually
-// guards:
+// through one batch-wide mutex, which the PR-4 service gate showed
+// turning into negative scaling (jobs/sec *shrinking* with lanes). This
+// header splits that mutex three ways, each piece sized to what it
+// actually guards:
 //
 //   * JobClaims — fresh-job claiming and tenant quotas. Touched once
 //     per job lifetime (claim + finish), never per probe, so a single

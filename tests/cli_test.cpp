@@ -174,6 +174,27 @@ TEST(CliRun, UnknownOptionIsUsageError) {
   }
 }
 
+TEST(CliRun, UnexpectedArgumentIsUsageError) {
+  // A stray word must not be silently ignored: batch takes exactly one
+  // (the workload file), every other command none. Refused before any
+  // file is read or any check runs.
+  const struct {
+    std::vector<const char*> argv;
+    std::string word;
+  } cases[] = {
+      {{"perfcheck", "migrate", "BENCH_PR2.json"}, "migrate"},
+      {{"models", "extra"}, "extra"},
+      {{"batch", "w.json", "x.json"}, "x.json"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(drive(c.argv, nullptr, &err), 2) << c.word;
+    EXPECT_NE(err.find("unexpected argument '" + c.word + "'"),
+              std::string::npos)
+        << err;
+  }
+}
+
 TEST(CliRun, DeployRequiresModel) {
   std::string err;
   EXPECT_EQ(drive({"deploy"}, nullptr, &err), 2);

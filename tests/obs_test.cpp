@@ -1,6 +1,6 @@
 // Performance observatory tests: schema round-trip, history I/O,
-// allocation-counter thread safety, perfcheck edge cases, the legacy
-// snapshot converter, and the end-to-end CLI contract (including the
+// allocation-counter thread safety, perfcheck edge cases, the gate
+// metric catalog, and the end-to-end CLI contract (including the
 // acceptance criterion: a synthetic 2x latency regression must exit
 // nonzero and name the offending metric).
 #include <gtest/gtest.h>
@@ -571,62 +571,35 @@ TEST(GateMetrics, DottedScenarioNamesMatchOnTheFinalSegment) {
   EXPECT_TRUE(m.lower_is_better);
 }
 
-// ------------------------------------------------------- converter
-
-TEST(LegacyConverter, FlatMetricsSnapshot) {
-  const std::string snapshot = R"({
-    "bench": "pr2-fastpath-gate",
-    "hardware_threads": 1,
-    "metrics": {
-      "gp_incremental_adds_per_sec": 3000.0,
-      "calibration_fits_per_sec": 120.0,
-      "made_up_extra": 7.0
-    }
-  })";
-  const HistoryRecord r =
-      obs::convert_legacy_snapshot(util::parse_json(snapshot), "pr2");
-  EXPECT_EQ(r.suite, "pr2-fastpath-gate");
-  EXPECT_EQ(r.run_id, "pr2");
-  EXPECT_EQ(r.hardware_threads, 1);
-  ASSERT_EQ(r.metrics.size(), 3u);
-
-  const MetricSample* gp = r.find("gp_incremental_adds_per_sec");
-  ASSERT_NE(gp, nullptr);
-  EXPECT_TRUE(gp->should_alert);
-  EXPECT_FALSE(gp->lower_is_better);
-  EXPECT_EQ(gp->normalize_by, "calibration_fits_per_sec");
-  const MetricSample* extra = r.find("made_up_extra");
-  ASSERT_NE(extra, nullptr);
-  EXPECT_FALSE(extra->should_alert);
-}
-
-TEST(LegacyConverter, ScenarioSnapshot) {
-  const std::string snapshot = R"({
-    "bench": "pr7-multi-fidelity-gate",
-    "scenarios": [
-      {"scenario": "deadline", "probe_cost_ratio": 0.42, "seeds": 10},
-      {"scenario": "budget", "probe_cost_ratio": 0.38, "seeds": 10}
-    ]
-  })";
-  const HistoryRecord r =
-      obs::convert_legacy_snapshot(util::parse_json(snapshot), "pr7");
-  EXPECT_EQ(r.suite, "pr7-multi-fidelity-gate");
-  const MetricSample* m = r.find("deadline.probe_cost_ratio");
-  ASSERT_NE(m, nullptr);
-  EXPECT_TRUE(m->should_alert);
-  EXPECT_DOUBLE_EQ(m->value(), 0.42);
-  ASSERT_NE(r.find("budget.probe_cost_ratio"), nullptr);
-  EXPECT_FALSE(r.find("budget.seeds")->should_alert);
-}
-
-TEST(LegacyConverter, RejectsUnrecognizedSnapshots) {
-  EXPECT_THROW(
-      obs::convert_legacy_snapshot(util::parse_json(R"({"foo": 1})"), "x"),
-      std::invalid_argument);
-  EXPECT_THROW(
-      obs::convert_legacy_snapshot(
-          util::parse_json(R"({"bench": "b", "nothing": 1})"), "x"),
-      std::invalid_argument);
+TEST(GateMetrics, FormerShadowGateKeysAlert) {
+  // Every key the retired fixed-20% snapshot comparisons checked stays
+  // an alerting series, so perfcheck still gates each one.
+  struct Key {
+    const char* suite;
+    const char* name;
+    bool lower_is_better;
+    const char* normalize_by;
+  };
+  const Key keys[] = {
+      {"pr2-fastpath-gate", "gp_incremental_adds_per_sec", false,
+       "calibration_fits_per_sec"},
+      {"pr2-fastpath-gate", "acq_scan_candidates_per_sec_t1", false,
+       "calibration_fits_per_sec"},
+      {"pr7-multi-fidelity-gate", "budget.probe_cost_ratio", true, ""},
+      {"pr7-multi-fidelity-gate", "deadline.probe_cost_ratio", true, ""},
+      {"pr4-service-gate", "jobs_per_sec_speedup_t4", false, ""},
+      {"pr4-service-gate", "cache_hit_rate_t4", false, ""},
+      {"pr6-chaos-gate", "chaos_throughput_ratio", false, ""},
+      {"pr8-durability-gate", "journal_throughput_ratio", false, ""},
+      {"pr10-sharded-gate", "jobs_per_sec_speedup_t4", false, ""},
+  };
+  for (const Key& key : keys) {
+    SCOPED_TRACE(std::string(key.suite) + " " + key.name);
+    const MetricSample m = obs::gate_metric(key.suite, key.name, 1.0);
+    EXPECT_TRUE(m.should_alert);
+    EXPECT_EQ(m.lower_is_better, key.lower_is_better);
+    EXPECT_EQ(m.normalize_by, key.normalize_by);
+  }
 }
 
 // ------------------------------------------------------------- CLI
@@ -693,41 +666,6 @@ TEST_F(PerfcheckCli, MissingHistoryDirIsAnArtifactError) {
   std::string err;
   EXPECT_EQ(drive({"perfcheck", "--history-dir", missing.c_str()}, nullptr,
                   &err),
-            3);
-  EXPECT_FALSE(err.empty());
-}
-
-TEST_F(PerfcheckCli, MigrateThenCheckRoundTrips) {
-  const std::string snapshot_path = dir() + "/BENCH_PR2.json";
-  {
-    std::ofstream out(snapshot_path);
-    out << R"({"bench": "pr2-fastpath-gate", "hardware_threads": 1,
-               "metrics": {"gp_incremental_adds_per_sec": 3000.0,
-                           "calibration_fits_per_sec": 120.0}})";
-  }
-  const std::string history = dir() + "/history";
-  std::string out;
-  EXPECT_EQ(drive({"perfcheck", "migrate", snapshot_path.c_str(),
-                   "--history-dir", history.c_str()},
-                  &out),
-            0);
-  EXPECT_NE(out.find("pr2-fastpath-gate"), std::string::npos) << out;
-
-  const auto records = obs::load_history_file(
-      obs::history_path(history, "pr2-fastpath-gate"));
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].run_id, "pr2");  // derived from the filename
-
-  // A first-ever history passes the check.
-  EXPECT_EQ(drive({"perfcheck", "--history-dir", history.c_str()}), 0);
-}
-
-TEST_F(PerfcheckCli, MigrateRejectsUnreadableSnapshot) {
-  const std::string missing = dir() + "/BENCH_PR99.json";
-  std::string err;
-  EXPECT_EQ(drive({"perfcheck", "migrate", missing.c_str(),
-                   "--history-dir", dir().c_str()},
-                  nullptr, &err),
             3);
   EXPECT_FALSE(err.empty());
 }
