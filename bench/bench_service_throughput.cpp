@@ -26,6 +26,14 @@
 // stay bit-identical to the fault-free run, and the chaotic makespan
 // may exceed the fault-free makespan by at most 25%.
 //
+// Both wall-time ratio gates (chaos makespan, batch manifest) run their
+// two sides as interleaved pairs and gate the median of the per-pair
+// ratios, printing the pairs' min-max next to the verdict. Each side of
+// a pair is the fastest of three back-to-back runs. A contended batch
+// lasts tens of milliseconds, so on a shared host one preempted run can
+// take several times as long; it then moves one run, not a pair, and one
+// pair, not the verdict.
+//
 // The PR-8 durability series re-runs the contended fleet as a durable
 // batch (--journal-dir: write-ahead batch manifest plus one fsync'd run
 // journal per job). Per-probe fsync is the PR-3 run journal's price and
@@ -101,6 +109,66 @@ double best_time(int trials, Op&& op, service::BatchReport* keep = nullptr) {
     }
   }
   return best;
+}
+
+/// Wall times of two batch configurations run as interleaved pairs.
+struct PairedSeries {
+  std::vector<double> ratios;  ///< b seconds / a seconds, one per pair
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = std::numeric_limits<double>::infinity();
+
+  /// The middle ratio (the series always runs an odd number of pairs).
+  double median() const {
+    std::vector<double> sorted = ratios;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted[sorted.size() / 2];
+  }
+  double min() const {
+    return *std::min_element(ratios.begin(), ratios.end());
+  }
+  double max() const {
+    return *std::max_element(ratios.begin(), ratios.end());
+  }
+};
+
+/// Times a() and b() as `pairs` interleaved pairs, swapping which side
+/// goes first on every other pair so host drift and order effects fall
+/// on both sides alike. A side's time in a pair is the fastest of
+/// kRunsPerSide back-to-back runs. Keeps each side's fastest run overall
+/// and its BatchReport.
+template <typename OpA, typename OpB>
+PairedSeries paired_series(int pairs, OpA&& a, OpB&& b,
+                           service::BatchReport* keep_a,
+                           service::BatchReport* keep_b) {
+  constexpr int kRunsPerSide = 3;
+  PairedSeries series;
+  const auto timed = [](auto& op, double& best, service::BatchReport* keep) {
+    double side = std::numeric_limits<double>::infinity();
+    for (int r = 0; r < kRunsPerSide; ++r) {
+      const Clock::time_point start = Clock::now();
+      service::BatchReport report = op();
+      const double secs = seconds_since(start);
+      side = std::min(side, secs);
+      if (secs < best) {
+        best = secs;
+        if (keep != nullptr) *keep = std::move(report);
+      }
+    }
+    return side;
+  };
+  for (int p = 0; p < pairs; ++p) {
+    double secs_a = 0.0;
+    double secs_b = 0.0;
+    if (p % 2 == 0) {
+      secs_a = timed(a, series.best_a, keep_a);
+      secs_b = timed(b, series.best_b, keep_b);
+    } else {
+      secs_b = timed(b, series.best_b, keep_b);
+      secs_a = timed(a, series.best_a, keep_a);
+    }
+    series.ratios.push_back(secs_b / secs_a);
+  }
+  return series;
 }
 
 /// The bench fleet: three tenants running four searches each against the
@@ -216,6 +284,8 @@ int main(int argc, char** argv) {
   bench::metrics("pr10-sharded-gate");
 
   const int trials = quick ? 2 : 5;
+  // Pairs behind each wall-time ratio gate; odd, so the median is a pair.
+  const int pairs = quick ? 9 : 15;
   const service::Workload workload = bench_fleet();
   const double n_jobs = static_cast<double>(workload.jobs.size());
   const system::Mlcd mlcd;
@@ -255,45 +325,39 @@ int main(int argc, char** argv) {
   // pressure — the pool shrunk to one max-size probe's worth of nodes
   // and the shared cache off so every probe launches live — so sessions
   // park and lend their lanes out.
-  const service::Workload contended = contended_fleet();
-  service::BatchReport contended_report;
-  double contended_secs = 0.0;
-  {
-    service::SchedulerOptions options;
-    options.threads = 4;
-    options.capacity_nodes = 8;  // == every job's max_nodes
-    options.share_probes = false;
-    contended_secs = best_time(
-        trials,
-        [&] { return service::Scheduler(mlcd, options).run(contended); },
-        &contended_report);
-  }
-
+  //
   // PR-6 chaos series: the identical contended configuration, but with
   // the service-level fault injector crashing lanes at a 10% lane-
   // failure rate — every crash re-stages its session from ask/tell
   // state with zero re-executed probes. The series measures what that
-  // elastic recovery costs the fleet in wall time. The injector's knob
+  // elastic recovery costs the fleet in wall time, as interleaved
+  // fault-free/chaotic pairs. The injector's knob
   // is a per-step hazard; the contended sessions run ~500 probes each,
   // so 2e-4 per step compounds to the targeted ~10% failure
   // probability per lane-session (1 - (1 - 2e-4)^500 ~ 0.095). The
   // fixed seed is part of the gate: chaos draws are pure functions of
   // (seed, job, step), so the same crashes fire on every machine.
+  const service::Workload contended = contended_fleet();
   service::Workload chaotic = contended;
   chaotic.chaos.seed = 20260808;
   chaotic.chaos.lane_crash_rate = 2e-4;
+  service::BatchReport contended_report;
   service::BatchReport chaos_report;
-  double chaos_secs = 0.0;
-  {
-    service::SchedulerOptions options;
-    options.threads = 4;
-    options.capacity_nodes = 8;
-    options.share_probes = false;
-    chaos_secs = best_time(
-        trials,
-        [&] { return service::Scheduler(mlcd, options).run(chaotic); },
-        &chaos_report);
-  }
+  service::SchedulerOptions contended_options;
+  contended_options.threads = 4;
+  contended_options.capacity_nodes = 8;  // == every job's max_nodes
+  contended_options.share_probes = false;
+  const PairedSeries chaos_pairs = paired_series(
+      pairs,
+      [&] {
+        return service::Scheduler(mlcd, contended_options).run(contended);
+      },
+      [&] {
+        return service::Scheduler(mlcd, contended_options).run(chaotic);
+      },
+      &contended_report, &chaos_report);
+  const double contended_secs = chaos_pairs.best_a;
+  const double chaos_secs = chaos_pairs.best_b;
 
   const double jobs_per_sec_t1 = n_jobs / secs_by_threads[1];
   const double jobs_per_sec_t2 = n_jobs / secs_by_threads[2];
@@ -359,8 +423,8 @@ int main(int argc, char** argv) {
   // the makespan overhead of crash recovery, plus the recovery
   // contract's cheap observables (nobody fails, crashes fired, jobs no
   // crash touched are bit-identical to the fault-free run).
-  const double chaos_overhead =
-      contended_secs > 0.0 ? chaos_secs / contended_secs - 1.0 : 0.0;
+  const double chaos_ratio = chaos_pairs.median();
+  const double chaos_overhead = chaos_ratio - 1.0;
   bool chaos_all_ok = chaos_report.jobs.size() == contended.jobs.size();
   bool chaos_untouched_identical = true;
   int chaos_replayed_probes = 0;
@@ -381,7 +445,7 @@ int main(int argc, char** argv) {
   pr6_metrics["chaos_makespan_overhead"] = chaos_overhead;
   // Higher = better (1.0 = free recovery).
   pr6_metrics["chaos_throughput_ratio"] =
-      chaos_secs > 0.0 ? contended_secs / chaos_secs : 0.0;
+      chaos_ratio > 0.0 ? 1.0 / chaos_ratio : 0.0;
   pr6_metrics["chaos_lane_crashes"] =
       static_cast<double>(chaos_report.total_lane_crashes());
   pr6_metrics["chaos_replayed_probes"] =
@@ -403,6 +467,10 @@ int main(int argc, char** argv) {
               chaos_all_ok ? "yes" : "NO");
   std::printf("  %-34s %s\n", "chaos_untouched_jobs_identical",
               chaos_untouched_identical ? "yes" : "NO");
+  std::printf("  chaos makespan gate: median pair ratio %.3f "
+              "[%.3f-%.3f over %d pairs], budget < 1.25: %s\n",
+              chaos_ratio, chaos_pairs.min(), chaos_pairs.max(), pairs,
+              chaos_overhead < 0.25 ? "pass" : "FAIL");
 
   // ---------------------------------------------- PR-8 durability series
   // The contended fleet re-run as a durable batch. The gated ratio
@@ -424,45 +492,24 @@ int main(int argc, char** argv) {
   const std::string durable_dir8 = dir8 + "/durable";
   service::BatchReport self_report;
   service::BatchReport journaled_report;
-  double self_secs = std::numeric_limits<double>::infinity();
-  double journaled_secs = std::numeric_limits<double>::infinity();
-  {
-    service::SchedulerOptions options;
-    options.threads = 4;
-    options.capacity_nodes = 8;
-    options.share_probes = false;
-    service::SchedulerOptions durable_options = options;
-    durable_options.journal_dir = durable_dir8;
-    // Interleaved trials: both sides fsync ~3000 records per run, so
-    // disk-latency drift over the series would bias a
-    // phase-then-phase measurement; alternating cancels it out of the
-    // min-of-trials ratio.
-    for (int t = 0; t < trials; ++t) {
-      Clock::time_point start = Clock::now();
-      service::BatchReport report =
-          service::Scheduler(mlcd, options).run(self_journaled);
-      double secs = seconds_since(start);
-      if (secs < self_secs) {
-        self_secs = secs;
-        self_report = std::move(report);
-      }
-      start = Clock::now();
-      report = service::Scheduler(mlcd, durable_options).run(contended);
-      secs = seconds_since(start);
-      if (secs < journaled_secs) {
-        journaled_secs = secs;
-        journaled_report = std::move(report);
-      }
-    }
-  }
+  service::SchedulerOptions durable_options = contended_options;
+  durable_options.journal_dir = durable_dir8;
+  // Interleaved pairs: both sides fsync ~3000 records per run, so
+  // disk-latency drift over the series would bias a phase-then-phase
+  // measurement.
+  const PairedSeries journal_pairs = paired_series(
+      pairs,
+      [&] {
+        return service::Scheduler(mlcd, contended_options).run(self_journaled);
+      },
+      [&] { return service::Scheduler(mlcd, durable_options).run(contended); },
+      &self_report, &journaled_report);
+  const double self_secs = journal_pairs.best_a;
+  const double journaled_secs = journal_pairs.best_b;
   service::BatchReport replay_report;
   double replay_secs = 0.0;
   {
-    service::SchedulerOptions options;
-    options.threads = 4;
-    options.capacity_nodes = 8;
-    options.share_probes = false;
-    options.journal_dir = durable_dir8;
+    service::SchedulerOptions options = durable_options;
     options.resume = true;
     replay_secs = best_time(
         trials,
@@ -498,14 +545,13 @@ int main(int argc, char** argv) {
       replayed_probes8 += replay_report.jobs[i].report.result.replayed_probes;
     }
   }
-  const double journal_overhead_ratio =
-      self_secs > 0.0 ? journaled_secs / self_secs : 0.0;
+  const double journal_overhead_ratio = journal_pairs.median();
 
   std::map<std::string, double> pr8_metrics;
   pr8_metrics["batch_journal_overhead_ratio"] = journal_overhead_ratio;
   // Higher = better.
   pr8_metrics["journal_throughput_ratio"] =
-      journaled_secs > 0.0 ? self_secs / journaled_secs : 0.0;
+      journal_overhead_ratio > 0.0 ? 1.0 / journal_overhead_ratio : 0.0;
   // Ungated: what fsync-per-probe costs against 5us simulated probes.
   pr8_metrics["durability_overhead_ratio"] =
       contended_secs > 0.0 ? journaled_secs / contended_secs
@@ -534,6 +580,10 @@ int main(int argc, char** argv) {
               journaled_identical ? "yes" : "NO");
   std::printf("  %-34s %s\n", "replayed_reports_identical",
               replay_identical ? "yes" : "NO");
+  std::printf("  batch manifest gate: median pair ratio %.3f "
+              "[%.3f-%.3f over %d pairs], budget < 1.05: %s\n",
+              journal_overhead_ratio, journal_pairs.min(), journal_pairs.max(),
+              pairs, journal_overhead_ratio < 1.05 ? "pass" : "FAIL");
   std::filesystem::remove_all(dir8);
 
   // ------------------------------------------- PR-10 sharded-core series
@@ -629,8 +679,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "GATE FAIL: the batch manifest inflated the contended "
                  "makespan %.1f%% over per-job journals (>= 5%% "
-                 "budget)\n",
-                 100.0 * (journal_overhead_ratio - 1.0));
+                 "budget; median of %d pairs, range %.3f-%.3f)\n",
+                 100.0 * (journal_overhead_ratio - 1.0), pairs,
+                 journal_pairs.min(), journal_pairs.max());
     ok = false;
   }
   if (!chaos_all_ok) {
@@ -654,8 +705,10 @@ int main(int argc, char** argv) {
   if (chaos_overhead >= 0.25) {
     std::fprintf(stderr,
                  "GATE FAIL: 10%% lane-crash chaos inflated the "
-                 "contended makespan by %.1f%% (>= 25%% budget)\n",
-                 100.0 * chaos_overhead);
+                 "contended makespan by %.1f%% (>= 25%% budget; median "
+                 "of %d pairs, range %.3f-%.3f)\n",
+                 100.0 * chaos_overhead, pairs, chaos_pairs.min(),
+                 chaos_pairs.max());
     ok = false;
   }
   if (session_parks <= 0) {

@@ -609,10 +609,11 @@ ProfileResult Profiler::serve_record(const perf::TrainingConfig& config,
     diverged("record was measured at a different fidelity than requested");
   }
   ++probes_;
-  // Advance the probe fork exactly as the original run did (fork mutates
-  // the parent engine). The child stream fed only this probe's noise and
-  // backoff draws, which the journal already captured — drop it.
-  (void)rng_.fork(static_cast<std::uint64_t>(probes_));
+  // Advance the parent stream exactly as the original run's probe fork
+  // did: fork's only effect on the parent is one engine draw. The child
+  // stream fed only this probe's noise and backoff draws, which the
+  // record already holds, so it is never built.
+  rng_.engine().discard(1);
 
   ProfileResult result;
   result.deployment = d;

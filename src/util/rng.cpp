@@ -1,8 +1,37 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace mlcd::util {
+
+void Mt19937_64::twist_word(std::size_t k) noexcept {
+  constexpr std::size_t n = state_size;
+  constexpr std::size_t m = shift_size;
+  constexpr result_type upper = ~result_type{0} << 31;
+  const result_type y = (x_[k] & upper) | (x_[k + 1 < n ? k + 1 : 0] & ~upper);
+  x_[k] = x_[k < n - m ? k + m : k + m - n] ^ (y >> 1) ^
+          ((y & 1U) != 0 ? 0xb5026f5aa96619e9ULL : 0);
+}
+
+void Mt19937_64::refill() noexcept {
+  if (pos_ == state_size) {
+    // A block is used up: regenerate the whole next one.
+    for (std::size_t k = 0; k < state_size; ++k) twist_word(k);
+    pos_ = 0;
+    ready_ = state_size;
+    return;
+  }
+  // First block: word k reads seed words k+1 and, while k < 156, k+156
+  // (after that its partner word k-156 is already twisted).
+  const std::size_t need = std::min(pos_ + shift_size + 1, state_size);
+  for (; seeded_ < need; ++seeded_) {
+    const result_type prev = x_[seeded_ - 1];
+    x_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+  }
+  twist_word(pos_);
+  ready_ = pos_ + 1;
+}
 
 double Rng::uniform() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);

@@ -161,5 +161,46 @@ TEST_F(ProfilerTest, ProbeCountIncrements) {
   EXPECT_EQ(profiler.probes_performed(), 2);
 }
 
+// A served probe (journal replay, cache hit) must leave the profiler's
+// seeded stream exactly where running the probe would have: the next
+// live probe's noise and retry backoffs are drawn from it.
+TEST_F(ProfilerTest, ServedProbeLeavesTheStreamWhereALiveProbeDoes) {
+  ProfilerOptions options;
+  options.faults.launch_failure_per_node = 0.05;  // retries draw backoffs
+  cloud::BillingMeter live_meter(space_), served_meter(space_);
+  Profiler live(perf_, space_, live_meter, 11, options);
+  Profiler served(perf_, space_, served_meter, 11, options);
+  const cloud::Deployment d{type_of("c5.4xlarge"), 6};
+  constexpr int k = 3;
+  for (int i = 1; i < k; ++i) {
+    live.profile(config(), {d});
+    served.profile(config(), {d});
+  }
+  const ProfileResult measured = live.profile(config(), {d});
+  served.set_replay({measurement_record(measured)});
+  const ProfileResult replayed = served.profile(config(), {d});
+  ASSERT_TRUE(replayed.replayed);
+  EXPECT_EQ(replayed.measured_speed, measured.measured_speed);
+
+  int retries = 0;
+  for (int i = 0; i < 6; ++i) {
+    const ProfileResult a = live.profile(config(), {d});
+    const ProfileResult b = served.profile(config(), {d});
+    ASSERT_FALSE(b.replayed);
+    EXPECT_EQ(a.measured_speed, b.measured_speed) << "probe " << k + 1 + i;
+    ASSERT_EQ(a.attempt_log.size(), b.attempt_log.size());
+    for (std::size_t j = 0; j < a.attempt_log.size(); ++j) {
+      EXPECT_EQ(a.attempt_log[j].fault, b.attempt_log[j].fault);
+      EXPECT_EQ(a.attempt_log[j].hours, b.attempt_log[j].hours);
+      EXPECT_EQ(a.attempt_log[j].cost, b.attempt_log[j].cost);
+      EXPECT_EQ(a.attempt_log[j].backoff_hours,
+                b.attempt_log[j].backoff_hours);
+    }
+    retries += static_cast<int>(a.attempt_log.size()) - 1;
+  }
+  // The comparison covered jittered backoffs, not only noise draws.
+  EXPECT_GT(retries, 0);
+}
+
 }  // namespace
 }  // namespace mlcd::profiler

@@ -6,8 +6,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <numeric>
+#include <random>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "obs/resource.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -48,7 +54,161 @@ TEST(Logging, StatementDoesNotThrowWhenDisabled) {
   set_log_level(saved);
 }
 
+int g_counted_calls = 0;
+
+std::string counted_argument() {
+  ++g_counted_calls;
+  return std::string(64, 'x');  // too long for the small-string buffer
+}
+
+// This binary links mlcd_obs_alloc, so allocations are counted.
+TEST(Logging, StatementBelowTheLevelEvaluatesAndAllocatesNothing) {
+  ASSERT_TRUE(obs::alloc_hook_active());
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kInfo);
+  g_counted_calls = 0;
+  const std::uint64_t before = obs::alloc_counters().allocations;
+  MLCD_LOG(kDebug, "t") << counted_argument();
+  const std::uint64_t after = obs::alloc_counters().allocations;
+  EXPECT_EQ(g_counted_calls, 0);
+  EXPECT_EQ(after - before, 0u);
+
+  set_log_level(LogLevel::kDebug);
+  MLCD_LOG(kDebug, "t") << counted_argument();
+  EXPECT_EQ(g_counted_calls, 1);
+  set_log_level(saved);
+}
+
+TEST(Logging, StatementNestsUnderAnUnbracedIfElse) {
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::kOff);
+  int else_taken = 0;
+  for (const bool c : {true, false}) {
+    if (c)
+      MLCD_LOG(kError, "t") << "then-branch";
+    else
+      ++else_taken;
+  }
+  EXPECT_EQ(else_taken, 1);
+  set_log_level(saved);
+}
+
 // -------------------------------------------------------------------- rng
+
+// Mt19937_64 must be std::mt19937_64, draw for draw: every seeded
+// stream in the library (and so every golden report) depends on it.
+void expect_same_draws(Mt19937_64& engine, std::mt19937_64& reference,
+                       int draws, const char* what) {
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t want = reference();
+    const std::uint64_t got = engine();
+    ASSERT_EQ(got, want) << what << ", draw " << i;
+  }
+}
+
+TEST(Mt64Engine, MatchesTheStandardEngineAcrossTheFirstBlockBoundary) {
+  // 312 words per block: draws 0..1311 cover 1000 draws on each side.
+  constexpr int kDraws = 312 + 1000;
+  std::vector<std::uint64_t> seeds = {
+      0, 1, 5489, std::numeric_limits<std::uint64_t>::max()};
+  std::mt19937_64 seed_source(20261019);
+  for (int i = 0; i < 1000; ++i) seeds.push_back(seed_source());
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    expect_same_draws(engine, reference, kDraws,
+                      ("seed " + std::to_string(seed)).c_str());
+  }
+}
+
+TEST(Mt64Engine, StandardCheckValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces
+  // 9981545732273789042.
+  Mt19937_64 engine(5489);
+  std::uint64_t value = 0;
+  for (int i = 0; i < 10000; ++i) value = engine();
+  EXPECT_EQ(value, 9981545732273789042ULL);
+  EXPECT_EQ(Mt19937_64::min(), std::mt19937_64::min());
+  EXPECT_EQ(Mt19937_64::max(), std::mt19937_64::max());
+}
+
+TEST(Mt64Engine, CopiesContinueTheStream) {
+  for (const int at : {0, 1, 155, 156, 311, 312}) {
+    Mt19937_64 engine(42);
+    std::mt19937_64 reference(42);
+    for (int i = 0; i < at; ++i) {
+      engine();
+      reference();
+    }
+    Mt19937_64 copy(engine);
+    std::mt19937_64 reference_copy(reference);
+    const std::string what = "copy at " + std::to_string(at);
+    expect_same_draws(engine, reference, 700, what.c_str());
+    expect_same_draws(copy, reference_copy, 700, what.c_str());
+    // Assignment over a differently seeded engine takes the state too.
+    Mt19937_64 assigned(7);
+    assigned = copy;
+    std::mt19937_64 reference_assigned(42);
+    reference_assigned.discard(static_cast<unsigned long long>(at) + 700);
+    expect_same_draws(assigned, reference_assigned, 400, what.c_str());
+  }
+}
+
+TEST(Mt64Engine, DiscardMatchesTheStandardEngine) {
+  for (const unsigned long long lead : {0ULL, 1ULL, 155ULL, 311ULL}) {
+    for (const unsigned long long n :
+         {0ULL, 1ULL, 155ULL, 156ULL, 157ULL, 311ULL, 312ULL, 313ULL,
+          1000ULL, 5000ULL}) {
+      Mt19937_64 engine(9);
+      std::mt19937_64 reference(9);
+      for (unsigned long long i = 0; i < lead; ++i) {
+        engine();
+        reference();
+      }
+      engine.discard(n);
+      reference.discard(n);
+      const std::string what =
+          "discard " + std::to_string(n) + " after " + std::to_string(lead);
+      expect_same_draws(engine, reference, 400, what.c_str());
+    }
+  }
+}
+
+TEST(Mt64Engine, ForkedChildrenMatchTheStandardEngine) {
+  for (const std::uint64_t seed : {0ULL, 3ULL, 77ULL}) {
+    Rng parent(seed);
+    std::mt19937_64 reference_parent(seed);
+    for (std::uint64_t label = 1; label <= 40; ++label) {
+      Rng child = parent.fork(label);
+      const std::uint64_t salt = reference_parent();
+      std::mt19937_64 reference_child(
+          splitmix64(seed ^ splitmix64(label) ^ salt));
+      // Through the distribution helpers too: they see the same bits.
+      std::mt19937_64 reference_draws = reference_child;
+      EXPECT_EQ(child.uniform(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(
+                    reference_draws));
+      EXPECT_EQ(child.normal(),
+                std::normal_distribution<double>(0.0, 1.0)(reference_draws));
+      reference_child = reference_draws;
+      expect_same_draws(child.engine(), reference_child, 60,
+                        ("fork " + std::to_string(label)).c_str());
+    }
+  }
+}
+
+TEST(Mt64Engine, ShufflesLikeTheStandardEngine) {
+  std::vector<int> a(100), b(100);
+  std::iota(a.begin(), a.end(), 0);
+  std::iota(b.begin(), b.end(), 0);
+  Rng rng(5);
+  std::mt19937_64 reference(5);
+  std::shuffle(a.begin(), a.end(), rng.engine());
+  std::shuffle(b.begin(), b.end(), reference);
+  EXPECT_EQ(a, b);
+}
+
 
 TEST(Rng, SameSeedSameSequence) {
   Rng a(123), b(123);
