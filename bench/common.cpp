@@ -54,16 +54,6 @@ util::CsvWriter open_csv(const std::string& name,
   return util::CsvWriter(bench_out_dir() + "/" + name, std::move(header));
 }
 
-cloud::InstanceCatalog paper_testbed_catalog() {
-  std::vector<std::string> names;
-  for (const char* family : {"c5", "c5n", "c4", "p2", "p3"}) {
-    for (std::size_t i : cloud::aws_catalog().family_indices(family)) {
-      names.push_back(cloud::aws_catalog().at(i).name);
-    }
-  }
-  return cloud::aws_catalog().subset(names);
-}
-
 cloud::InstanceCatalog subset_catalog(
     const std::vector<std::string>& names) {
   return cloud::aws_catalog().subset(names);
@@ -93,72 +83,11 @@ search::SearchProblem make_problem(const perf::TrainingConfig& config,
   return p;
 }
 
-std::unique_ptr<search::Searcher> make_searcher(
-    const perf::TrainingPerfModel& perf, const std::string& method) {
-  return search::SearcherRegistry::instance().create(method, perf);
-}
-
 search::SearchResult run_method(const perf::TrainingPerfModel& perf,
                                 const search::SearchProblem& problem,
                                 const std::string& method) {
-  return make_searcher(perf, method)->run(problem);
-}
-
-search::SearchResult run_method_mean(const perf::TrainingPerfModel& perf,
-                                     search::SearchProblem problem,
-                                     const std::string& method, int seeds) {
-  search::SearchResult mean;
-  bool first = true;
-  int found = 0;
-  for (int s = 1; s <= seeds; ++s) {
-    problem.seed = static_cast<std::uint64_t>(s);
-    const search::SearchResult r = run_method(perf, problem, method);
-    if (first) {
-      mean = r;
-      mean.profile_hours = 0.0;
-      mean.profile_cost = 0.0;
-      mean.training_hours = 0.0;
-      mean.training_cost = 0.0;
-      first = false;
-    }
-    if (!r.found) continue;
-    ++found;
-    mean.profile_hours += r.profile_hours;
-    mean.profile_cost += r.profile_cost;
-    mean.training_hours += r.training_hours;
-    mean.training_cost += r.training_cost;
-  }
-  if (found > 0) {
-    mean.profile_hours /= found;
-    mean.profile_cost /= found;
-    mean.training_hours /= found;
-    mean.training_cost /= found;
-  }
-  return mean;
-}
-
-util::TablePrinter make_result_table() {
-  return util::TablePrinter({"method", "best", "probes", "profile (h)",
-                             "profile ($)", "train (h)", "train ($)",
-                             "total (h)", "total ($)", "constraints"});
-}
-
-void add_result_row(util::TablePrinter& table, const search::SearchResult& r,
-                    const search::Scenario& scenario) {
-  if (!r.found) {
-    table.add_row({r.method, "(none)", std::to_string(r.trace.size()), "-",
-                   "-", "-", "-", "-", "-", "n/a"});
-    return;
-  }
-  table.add_row({r.method, r.best_description,
-                 std::to_string(r.trace.size()),
-                 util::fmt_fixed(r.profile_hours, 2),
-                 util::fmt_fixed(r.profile_cost, 2),
-                 util::fmt_fixed(r.training_hours, 2),
-                 util::fmt_fixed(r.training_cost, 2),
-                 util::fmt_fixed(r.total_hours(), 2),
-                 util::fmt_fixed(r.total_cost(), 2),
-                 r.meets_constraints(scenario) ? "met" : "VIOLATED"});
+  return search::SearcherRegistry::instance().create(method, perf)->run(
+      problem);
 }
 
 obs::MetricRegistry& metrics(const std::string& suite) {
@@ -213,23 +142,6 @@ int finish_metrics(int exit_code) {
   }
   state.registries.clear();
   return code;
-}
-
-void print_trace(const cloud::DeploymentSpace& space,
-                 const search::SearchResult& r) {
-  util::TablePrinter table(
-      {"step", "why", "deployment", "speed (samples/s)", "cum profile (h)",
-       "cum profile ($)"});
-  int step = 1;
-  for (const search::ProbeStep& s : r.trace) {
-    table.add_row({std::to_string(step++), s.reason,
-                   space.describe(s.deployment),
-                   s.feasible ? util::fmt_fixed(s.measured_speed, 1)
-                              : "infeasible",
-                   util::fmt_fixed(s.cum_profile_hours, 2),
-                   util::fmt_fixed(s.cum_profile_cost, 2)});
-  }
-  table.print();
 }
 
 }  // namespace mlcd::bench

@@ -1,10 +1,7 @@
-// Shared helpers for the figure-reproduction benches.
-//
-// Every bench binary regenerates one figure of the paper's evaluation:
-// it builds the same workload/space/scenario, runs the same methods, and
-// prints the rows/series the figure reports, next to the paper's own
-// numbers where the paper states them. Raw series are also dumped as CSV
-// under ./bench_out/ for re-plotting.
+// Shared helpers for the bench binaries: the paper-claims driver and the
+// gate benches. They build the same workload/space/scenario objects the
+// paper's experiments use, print banners and notes, dump raw series as
+// CSV under ./bench_out/, and record the observatory's metric suites.
 #pragma once
 
 #include <memory>
@@ -40,10 +37,6 @@ std::string bench_out_dir();
 util::CsvWriter open_csv(const std::string& name,
                          std::vector<std::string> header);
 
-/// The paper's §V-A testbed: every c4, c5, c5n, p2 and p3 instance type
-/// (25 scale-up options).
-cloud::InstanceCatalog paper_testbed_catalog();
-
 /// Named subset of the full 62-type catalog.
 cloud::InstanceCatalog subset_catalog(const std::vector<std::string>& names);
 
@@ -58,34 +51,11 @@ search::SearchProblem make_problem(const perf::TrainingConfig& config,
                                    const search::Scenario& scenario,
                                    std::uint64_t seed = 7);
 
-/// Builds a searcher by method name against a substrate (same registry
-/// as the MLCD deployment engine).
-std::unique_ptr<search::Searcher> make_searcher(
-    const perf::TrainingPerfModel& perf, const std::string& method);
-
-/// Runs `method` and returns its result.
+/// Runs `method` (by name, from the same registry as the MLCD
+/// deployment engine) and returns its result.
 search::SearchResult run_method(const perf::TrainingPerfModel& perf,
                                 const search::SearchProblem& problem,
                                 const std::string& method);
-
-/// Result averaged over seeds (means of the cost/time fields; the trace
-/// and best deployment come from the first seed).
-search::SearchResult run_method_mean(const perf::TrainingPerfModel& perf,
-                                     search::SearchProblem problem,
-                                     const std::string& method,
-                                     int seeds = 3);
-
-/// Adds a "method | profile h/$ | train h/$ | total h/$ | constraints"
-/// row to a table.
-void add_result_row(util::TablePrinter& table, const search::SearchResult& r,
-                    const search::Scenario& scenario);
-
-/// Header matching add_result_row.
-util::TablePrinter make_result_table();
-
-/// Prints a search trace as the trajectory figures show it.
-void print_trace(const cloud::DeploymentSpace& space,
-                 const search::SearchResult& r);
 
 /// The bench's MetricRegistry for `suite` (created on first use; a
 /// binary that feeds several time-series — bench_perf_gate emits both

@@ -485,13 +485,35 @@ FramedWriter::~FramedWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-FramedWriter FramedWriter::create(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+FramedWriter FramedWriter::create(const std::string& path,
+                                  const std::string& header) {
+  // The header is made durable in a sibling file that is then renamed
+  // onto `path`, so `path` never exists without a readable header: a
+  // kill at any point leaves either no journal or one a resume accepts.
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
   if (file == nullptr) {
-    fail(JournalErrorCode::kIo, "cannot open journal '" + path +
+    fail(JournalErrorCode::kIo, "cannot open journal '" + tmp +
                                     "' for writing: " + std::strerror(errno));
   }
-  return FramedWriter(path, file);
+  FramedWriter writer(path, file);
+  try {
+    writer.append(header);
+  } catch (const JournalError&) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+#if defined(_WIN32)
+  std::remove(path.c_str());  // rename() does not replace on Windows
+#endif
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int err = errno;
+    std::remove(tmp.c_str());
+    fail(JournalErrorCode::kIo, "cannot rename journal '" + tmp +
+                                    "' onto '" + path +
+                                    "': " + std::strerror(err));
+  }
+  return writer;
 }
 
 FramedWriter FramedWriter::append_to(const std::string& path,
@@ -598,9 +620,7 @@ RunJournal::~RunJournal() = default;
 
 RunJournal RunJournal::create(const std::string& path,
                               const JournalHeader& header) {
-  RunJournal journal(FramedWriter::create(path));
-  journal.append_record(compose_header(header));
-  return journal;
+  return RunJournal(FramedWriter::create(path, compose_header(header)));
 }
 
 RunJournal RunJournal::append_to(const std::string& path,

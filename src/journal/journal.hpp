@@ -218,9 +218,13 @@ struct JournalContents {
 /// and the write-ahead discipline are exercised identically for either.
 class FramedWriter {
  public:
-  /// Starts a fresh framed file at `path` (truncating any existing
-  /// file). Throws JournalError(kIo).
-  static FramedWriter create(const std::string& path);
+  /// Starts a fresh framed file at `path` whose first record is
+  /// `header`, replacing any existing file. The header is written and
+  /// fsync'd under `<path>.tmp`, which is then renamed onto `path`, so
+  /// `path` is only ever visible with a durable header. Throws
+  /// JournalError(kIo).
+  static FramedWriter create(const std::string& path,
+                             const std::string& header);
 
   /// Reopens an existing framed file for appending, truncating it to
   /// `valid_bytes` first (drops a torn tail record).
@@ -254,8 +258,9 @@ class FramedWriter {
 /// caller admits the probe into its in-memory trace only afterwards).
 class RunJournal {
  public:
-  /// Starts a fresh journal at `path` (truncating any existing file)
-  /// and durably writes the header record. Throws JournalError(kIo).
+  /// Starts a fresh journal at `path` (replacing any existing file)
+  /// whose first record is the durable header (FramedWriter::create).
+  /// Throws JournalError(kIo).
   static RunJournal create(const std::string& path,
                            const JournalHeader& header);
 

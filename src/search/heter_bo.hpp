@@ -63,7 +63,8 @@ struct HeterBoOptions {
   /// regions); 0.5 keeps strong cost pressure while letting large
   /// expected improvements justify pricier probes.
   double cost_penalty_exponent = 1.0;
-  /// Ablation knobs (bench_ablation exercises these).
+  /// Ablation knobs (the paper_claims ablation-heterbo case exercises
+  /// these).
   bool cost_aware_acquisition = true;
   bool use_concavity_prior = true;
   bool protective_reserve = true;

@@ -117,10 +117,8 @@ BatchJournal::BatchJournal(journal::FramedWriter writer)
 
 std::unique_ptr<BatchJournal> BatchJournal::create(
     const std::string& path, const BatchManifestHeader& header) {
-  auto manifest = std::unique_ptr<BatchJournal>(
-      new BatchJournal(journal::FramedWriter::create(path)));
-  manifest->writer_.append(compose_header(header));
-  return manifest;
+  return std::unique_ptr<BatchJournal>(new BatchJournal(
+      journal::FramedWriter::create(path, compose_header(header))));
 }
 
 std::unique_ptr<BatchJournal> BatchJournal::append_to(

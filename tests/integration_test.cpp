@@ -136,29 +136,6 @@ TEST_F(IntegrationTest, DeadlineScenarioCharRnn) {
   EXPECT_LE(hb, 20.0);
 }
 
-TEST_F(IntegrationTest, BertRingAllReduceSearchWorks) {
-  // Fig. 16's setting: BERT with ring all-reduce on a c5n/p2 mix.
-  const auto cat = cloud::aws_catalog().subset(std::vector<std::string>{
-      "c5n.xlarge", "c5n.4xlarge", "p2.xlarge"});
-  const cloud::DeploymentSpace space(cat, 20);
-  const perf::TrainingPerfModel perf(cat);
-  SearchProblem p;
-  p.config.model = models::paper_zoo().model("bert");
-  p.config.platform = perf::tensorflow_profile();
-  p.config.topology = perf::CommTopology::kRingAllReduce;
-  p.space = &space;
-  p.scenario = Scenario::fastest_under_budget(100.0);
-  p.seed = 7;
-
-  const SearchResult r = HeterBoSearcher(perf).run(p);
-  ASSERT_TRUE(r.found);
-  EXPECT_LE(r.total_cost(), 100.0);
-  // Initialization probed all three types at one node.
-  EXPECT_EQ(r.trace[0].deployment.nodes, 1);
-  EXPECT_EQ(r.trace[1].deployment.nodes, 1);
-  EXPECT_EQ(r.trace[2].deployment.nodes, 1);
-}
-
 TEST_F(IntegrationTest, MxnetAndTensorflowBothSearchable) {
   // Robustness across platforms (Figs. 16 vs 17).
   const auto cat = cloud::aws_catalog().subset(std::vector<std::string>{

@@ -265,8 +265,8 @@ TEST_F(SearchTest, HeterBoCheaperProfilingThanConvBo) {
 }
 
 TEST_F(SearchTest, HeterBoAblationKnobsChangeBehavior) {
-  // The knobs must actually alter the probe strategy (the bench
-  // bench_ablation_heterbo quantifies their cost effect per workload),
+  // The knobs must actually alter the probe strategy (the paper_claims
+  // case ablation-heterbo quantifies their cost effect per workload),
   // and every variant that keeps the protective reserve must still meet
   // the budget.
   const SearchProblem p = problem3(Scenario::fastest_under_budget(120.0));
