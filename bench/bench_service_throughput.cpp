@@ -474,12 +474,13 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------- PR-8 durability series
   // The contended fleet re-run as a durable batch. The gated ratio
-  // compares two configurations that both fsync every probe — jobs
-  // declaring their own run journals (no batch manifest) vs the same
-  // jobs under --journal-dir (write-ahead manifest + auto-managed
-  // journals) — so it isolates the batch manifest's cost. Per-probe
-  // durability vs the bare fleet is reported ungated: a simulated
-  // probe is ~5us of work, so that ratio only measures fsync latency.
+  // compares two configurations that both make every probe durable
+  // before admitting it — jobs declaring their own run journals (one
+  // fsync per probe) vs the same jobs under --journal-dir (one
+  // group-committed batch log) — so it gates that the batch log never
+  // costs more than per-job journals. Per-probe durability vs the bare
+  // fleet is reported ungated: a simulated probe is ~5us of work, so
+  // that ratio only measures fsync latency.
   const std::string dir8 =
       (std::filesystem::temp_directory_path() / "mlcd_bench_pr8").string();
   std::filesystem::remove_all(dir8);
@@ -494,8 +495,8 @@ int main(int argc, char** argv) {
   service::BatchReport journaled_report;
   service::SchedulerOptions durable_options = contended_options;
   durable_options.journal_dir = durable_dir8;
-  // Interleaved pairs: both sides fsync ~3000 records per run, so
-  // disk-latency drift over the series would bias a phase-then-phase
+  // Interleaved pairs: both sides make ~3000 records durable per run,
+  // so disk-latency drift over the series would bias a phase-then-phase
   // measurement.
   const PairedSeries journal_pairs = paired_series(
       pairs,

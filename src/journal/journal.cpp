@@ -15,6 +15,7 @@
 #if defined(_WIN32)
 #include <io.h>
 #else
+#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -83,7 +84,9 @@ class Composer {
   bool first_ = true;
 };
 
-std::string compose_header(const JournalHeader& h) {
+}  // namespace
+
+std::string header_payload(const JournalHeader& h) {
   // Version is derived from content, not from h.version: a run without a
   // fidelity ladder writes a version-1 header byte-identically to the
   // pre-ladder format (the golden suite pins those bytes), and only a
@@ -111,7 +114,7 @@ std::string compose_header(const JournalHeader& h) {
   return c.str();
 }
 
-std::string compose_probe(const ProbeRecord& p) {
+std::string probe_payload(const ProbeRecord& p, int job) {
   std::ostringstream attempts;
   attempts << '[';
   for (std::size_t i = 0; i < p.attempt_log.size(); ++i) {
@@ -125,8 +128,9 @@ std::string compose_probe(const ProbeRecord& p) {
   }
   attempts << ']';
   Composer c;
-  c.field("t", "probe")
-      .field("type_index", p.type_index)
+  c.field("t", "probe");
+  if (job >= 0) c.field("job", job);
+  c.field("type_index", p.type_index)
       .field("nodes", p.nodes)
       .field("failed", p.failed)
       .field("feasible", p.feasible)
@@ -151,11 +155,15 @@ std::string compose_probe(const ProbeRecord& p) {
   return c.str();
 }
 
-std::string compose_degrade(const DegradeRecord& d) {
+std::string degrade_payload(const DegradeRecord& d, int job) {
   Composer c;
-  c.field("t", "degrade").field("iteration", d.iteration).field("why", d.why);
+  c.field("t", "degrade");
+  if (job >= 0) c.field("job", job);
+  c.field("iteration", d.iteration).field("why", d.why);
   return c.str();
 }
+
+namespace {
 
 [[noreturn]] void fail(JournalErrorCode code, const std::string& message) {
   throw JournalError(code, message);
@@ -200,6 +208,8 @@ std::uint64_t require_u64(const util::JsonValue& obj, std::string_view key) {
   }
   return value;
 }
+
+}  // namespace
 
 JournalHeader parse_header(const util::JsonValue& obj) {
   JournalHeader h;
@@ -279,24 +289,44 @@ DegradeRecord parse_degrade(const util::JsonValue& obj) {
   return d;
 }
 
-constexpr std::string_view kMagic = "MLCDJ1";
-
-/// Frames a payload into one journal line.
-std::string frame(const std::string& payload) {
-  char head[48];
-  std::snprintf(head, sizeof head, "%s %zu %08x ", kMagic.data(),
-                payload.size(), crc32(payload));
-  return std::string(head) + payload + "\n";
+std::string header_diff(const JournalHeader& got, const JournalHeader& want) {
+  if (got.method != want.method) return "method";
+  if (got.model != want.model) return "model";
+  if (got.platform != want.platform) return "platform";
+  if (got.scenario_kind != want.scenario_kind) return "scenario kind";
+  if (got.deadline_hours != want.deadline_hours) return "deadline_hours";
+  if (got.budget_dollars != want.budget_dollars) return "budget_dollars";
+  if (got.seed != want.seed) return "seed";
+  if (got.max_nodes != want.max_nodes) return "max_nodes";
+  if (got.use_spot != want.use_spot) return "use_spot";
+  if (got.gp_refit_every != want.gp_refit_every) return "gp_refit_every";
+  if (got.catalog_hash != want.catalog_hash) return "catalog contents";
+  // A version-1 journal carries hash 0 (ladder disabled), so resuming an
+  // old journal with a ladder configured — or vice versa — is refused
+  // here: the ladder changes which probes the strategies propose. The
+  // check precedes the profiler-options check because the ladder is
+  // also mixed into that hash — this order names the precise culprit.
+  if (got.fidelity_ladder_hash != want.fidelity_ladder_hash) {
+    return "fidelity ladder";
+  }
+  if (got.profiler_options_hash != want.profiler_options_hash) {
+    return "profiler/fault options";
+  }
+  if (got.warm_start_hash != want.warm_start_hash) {
+    return "warm-start points";
+  }
+  return "";
 }
 
-struct FrameResult {
-  bool ok = false;
-  std::string payload;
-};
+namespace {
 
-/// Attempts to unframe one line (without its trailing '\n').
-FrameResult unframe(std::string_view line) {
-  FrameResult r;
+constexpr std::string_view kMagic = "MLCDJ1";
+
+/// Attempts to unframe one line (without its trailing '\n'); the
+/// returned payload views into `line`. nullopt when the line does not
+/// frame.
+std::optional<std::string_view> unframe(std::string_view line) {
+  const std::optional<std::string_view> r;
   if (line.size() < kMagic.size() + 1 ||
       line.substr(0, kMagic.size()) != kMagic ||
       line[kMagic.size()] != ' ') {
@@ -333,10 +363,22 @@ FrameResult unframe(std::string_view line) {
   if (line.size() - pos != length) return r;  // short, long, or trailing junk
   const std::string_view payload = line.substr(pos);
   if (crc32(payload) != expected) return r;
-  r.ok = true;
-  r.payload.assign(payload);
-  return r;
+  return payload;
 }
+
+/// Closes a stdio stream on scope exit.
+struct FileCloser {
+  std::FILE* file;
+  ~FileCloser() { std::fclose(file); }
+};
+
+#if !defined(_WIN32)
+/// Closes a raw descriptor on scope exit.
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
+#endif
 
 }  // namespace
 
@@ -394,20 +436,42 @@ IoFaultInjector* io_fault_injector() noexcept {
 }
 
 std::uint32_t crc32(std::string_view bytes) noexcept {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: table k advances the CRC past a byte followed by k
+  // zero bytes, so eight table lookups fold eight input bytes at once.
+  // A resume checks every record of a batch log twice (planning, then
+  // the job's own read), so the bytewise loop's cost showed there.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables tables = [] {
+    Tables t{};
     for (std::uint32_t n = 0; n < 256; ++n) {
       std::uint32_t c = n;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : (c >> 1);
       }
-      t[n] = c;
+      t[0][n] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::size_t n = 0; n < 256; ++n) {
+        t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xffu];
+      }
     }
     return t;
   }();
+  const auto byte = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[i]));
+  };
   std::uint32_t crc = 0xffffffffu;
-  for (const char ch : bytes) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= bytes.size(); i += 8) {
+    const std::uint32_t lo = crc ^ (byte(i) | byte(i + 1) << 8 |
+                                    byte(i + 2) << 16 | byte(i + 3) << 24);
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+          tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+          tables[3][byte(i + 4)] ^ tables[2][byte(i + 5)] ^
+          tables[1][byte(i + 6)] ^ tables[0][byte(i + 7)];
+  }
+  for (; i < bytes.size(); ++i) {
+    crc = tables[0][(crc ^ byte(i)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
@@ -513,6 +577,12 @@ FramedWriter FramedWriter::create(const std::string& path,
                                     "' onto '" + path +
                                     "': " + std::strerror(err));
   }
+  // The rename is durable only once the directory entry is: without
+  // this a power loss could drop the journal's name with its contents.
+  const std::size_t slash = path.find_last_of('/');
+  fsync_directory(slash == std::string::npos ? std::string(".")
+                  : slash == 0               ? std::string("/")
+                                             : path.substr(0, slash));
   return writer;
 }
 
@@ -554,41 +624,47 @@ FramedWriter FramedWriter::append_to(const std::string& path,
 }
 
 void FramedWriter::append(const std::string& payload) {
-  const std::string line = frame(payload);
+  std::string line;
+  append_framed(line, payload);
+  std::optional<PendingFault> fault;
   if (IoFaultInjector* injector = io_fault_injector()) {
-    if (const std::optional<IoFaultKind> fault = injector->next_append()) {
-      switch (*fault) {
-        case IoFaultKind::kEnospc:
-          // Nothing of the record reaches the disk.
-          fail(JournalErrorCode::kIo,
-               "cannot append to journal '" + path_ +
-                   "': injected ENOSPC (" + std::strerror(ENOSPC) + ")");
-        case IoFaultKind::kShortWrite: {
-          // A real torn prefix lands on disk so the stored state matches
-          // a crash mid-append; readers drop it as a torn tail.
-          const std::size_t cut = line.size() / 2;
-          if (cut > 0 &&
-              std::fwrite(line.data(), 1, cut, file_) == cut) {
-            std::fflush(file_);
-          }
-          fail(JournalErrorCode::kIo,
-               "injected short write to journal '" + path_ + "'");
-        }
-        case IoFaultKind::kFsyncFail:
-          // The record is buffered in full but its durability barrier
-          // fails: it may or may not survive, exactly like a real fsync
-          // error. Either on-disk state replays soundly (write-ahead:
-          // the record precedes trace admission).
-          if (std::fwrite(line.data(), 1, line.size(), file_) ==
-              line.size()) {
-            std::fflush(file_);
-          }
-          fail(JournalErrorCode::kIo,
-               "injected fsync failure on journal '" + path_ + "'");
-      }
+    if (const std::optional<IoFaultKind> kind = injector->next_append()) {
+      fault = PendingFault{*kind, 0, line.size()};
     }
   }
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
+  write_durably(line, fault);
+}
+
+void FramedWriter::write_durably(std::string_view bytes,
+                                 const std::optional<PendingFault>& fault) {
+  if (fault.has_value()) {
+    // What lands on disk matches the real failure, so readers see the
+    // state a crash would leave: records before the faulty one, plus a
+    // torn prefix of it on a short write (dropped as a torn tail), or
+    // all of it when only the durability barrier fails — either state
+    // replays soundly, since the records precede trace admission.
+    std::size_t lands = fault->offset;
+    std::string what;
+    switch (fault->kind) {
+      case IoFaultKind::kEnospc:
+        what = std::string("injected ENOSPC (") + std::strerror(ENOSPC) + ")";
+        break;
+      case IoFaultKind::kShortWrite:
+        lands += fault->size / 2;
+        what = "injected short write";
+        break;
+      case IoFaultKind::kFsyncFail:
+        lands = bytes.size();
+        what = "injected fsync failure";
+        break;
+    }
+    if (lands > 0 && std::fwrite(bytes.data(), 1, lands, file_) == lands) {
+      std::fflush(file_);
+    }
+    fail(JournalErrorCode::kIo,
+         "cannot append to journal '" + path_ + "': " + what);
+  }
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
     fail(JournalErrorCode::kIo,
          "short write to journal '" + path_ + "': " + std::strerror(errno));
   }
@@ -596,8 +672,8 @@ void FramedWriter::append(const std::string& payload) {
     fail(JournalErrorCode::kIo,
          "cannot flush journal '" + path_ + "': " + std::strerror(errno));
   }
-  // Write-ahead discipline: the record must be on stable storage before
-  // the caller acts on the probe it describes.
+  // Write-ahead discipline: the records must be on stable storage before
+  // the caller acts on the probes they describe.
 #if defined(_WIN32)
   if (_commit(_fileno(file_)) != 0) {
 #else
@@ -608,8 +684,36 @@ void FramedWriter::append(const std::string& payload) {
   }
 }
 
+void fsync_directory(const std::string& dir) {
+#if !defined(_WIN32)
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    fail(JournalErrorCode::kIo, "cannot open directory '" + dir +
+                                    "' to fsync it: " + std::strerror(errno));
+  }
+  const FdCloser closer{fd};
+  if (::fsync(fd) != 0) {
+    fail(JournalErrorCode::kIo, "cannot fsync directory '" + dir +
+                                    "': " + std::strerror(errno));
+  }
+#else
+  (void)dir;
+#endif
+}
+
 std::string frame_record(const std::string& payload) {
-  return frame(payload);
+  std::string line;
+  append_framed(line, payload);
+  return line;
+}
+
+void append_framed(std::string& out, std::string_view payload) {
+  char head[48];
+  const int n = std::snprintf(head, sizeof head, "%s %zu %08x ", kMagic.data(),
+                              payload.size(), crc32(payload));
+  out.append(head, static_cast<std::size_t>(n));
+  out.append(payload);
+  out.push_back('\n');
 }
 
 RunJournal::RunJournal(FramedWriter writer) : writer_(std::move(writer)) {}
@@ -620,7 +724,7 @@ RunJournal::~RunJournal() = default;
 
 RunJournal RunJournal::create(const std::string& path,
                               const JournalHeader& header) {
-  return RunJournal(FramedWriter::create(path, compose_header(header)));
+  return RunJournal(FramedWriter::create(path, header_payload(header)));
 }
 
 RunJournal RunJournal::append_to(const std::string& path,
@@ -629,153 +733,156 @@ RunJournal RunJournal::append_to(const std::string& path,
 }
 
 void RunJournal::append_probe(const ProbeRecord& record) {
-  append_record(compose_probe(record));
+  writer_.append(probe_payload(record));
 }
 
 void RunJournal::append_degrade(const DegradeRecord& record) {
-  append_record(compose_degrade(record));
+  writer_.append(degrade_payload(record));
 }
 
-void RunJournal::append_record(const std::string& payload) {
-  writer_.append(payload);
-}
-
-JournalContents read_journal(const std::string& path) {
+FramedScan scan_framed_file(
+    const std::string& path,
+    const std::function<bool(std::string_view payload,
+                             const RecordSpan& span)>& on_payload) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     fail(JournalErrorCode::kIo, "cannot open journal '" + path +
                                     "' for reading: " + std::strerror(errno));
   }
-  std::string text;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    fail(JournalErrorCode::kIo, "error reading journal '" + path + "'");
-  }
+  const FileCloser closer{file};
 
-  JournalContents contents;
-  bool have_header = false;
-  std::size_t offset = 0;
-  while (offset < text.size()) {
-    const std::size_t newline = text.find('\n', offset);
-    const bool is_tail = newline == std::string::npos ||
-                         newline + 1 >= text.size();
-    const std::string_view line =
-        newline == std::string::npos
-            ? std::string_view(text).substr(offset)
-            : std::string_view(text).substr(offset, newline - offset);
-
-    FrameResult framed = unframe(line);
-    util::JsonValue record;
-    bool parsed = false;
-    std::string record_type;
-    if (framed.ok) {
-      try {
-        record = util::parse_json(framed.payload);
-        if (record.is_object() && record.contains("t") &&
-            record.at("t").is_string()) {
-          record_type = record.at("t").as_string();
-          parsed = true;
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  FramedScan scan;
+  std::string buffer;    // bytes read but not yet consumed start at `pos`
+  std::size_t pos = 0;
+  bool eof = false;
+  for (;;) {
+    std::size_t newline = buffer.find('\n', pos);
+    // A line can be classified only once it is known whether anything
+    // follows it: read on until a byte lies past its newline, or EOF.
+    while (!eof && (newline == std::string::npos ||
+                    newline + 1 >= buffer.size())) {
+      buffer.erase(0, pos);  // compact: keep only the unconsumed bytes
+      if (newline != std::string::npos) newline -= pos;
+      pos = 0;
+      const std::size_t had = buffer.size();
+      buffer.resize(had + kChunk);
+      const std::size_t got = std::fread(buffer.data() + had, 1, kChunk, file);
+      buffer.resize(had + got);
+      if (got == 0) {
+        if (std::ferror(file) != 0) {
+          fail(JournalErrorCode::kIo, "error reading journal '" + path + "'");
         }
-      } catch (const std::invalid_argument&) {
-        parsed = false;
+        eof = true;
       }
+      if (newline == std::string::npos) newline = buffer.find('\n', had);
     }
+    if (pos >= buffer.size()) break;
+    const bool is_tail =
+        newline == std::string::npos || newline + 1 >= buffer.size();
+    const std::string_view line = std::string_view(buffer).substr(
+        pos, newline == std::string::npos ? std::string::npos : newline - pos);
+    const std::optional<std::string_view> payload = unframe(line);
     // A bad or unterminated record at the very end of the file is a torn
     // append from the crash — drop it (the probe it described was never
     // admitted to the trace, and deterministic re-execution reproduces
     // it). Anywhere else it is corruption at rest: refuse.
-    if (!parsed || newline == std::string::npos) {
+    if (!payload.has_value() || newline == std::string::npos ||
+        !on_payload(*payload,
+                    RecordSpan{scan.valid_bytes, newline + 1 - pos})) {
       if (is_tail) {
-        contents.truncated_tail = true;
+        scan.truncated_tail = true;
         break;
       }
       fail(JournalErrorCode::kCorrupt,
            "journal '" + path + "' is corrupt at byte offset " +
-               std::to_string(offset));
+               std::to_string(scan.valid_bytes));
     }
-
-    if (!have_header) {
-      if (record_type != "header") {
-        fail(JournalErrorCode::kCorrupt,
-             "journal '" + path + "' does not begin with a header record");
-      }
-      contents.header = parse_header(record);
-      have_header = true;
-    } else if (record_type == "probe") {
-      contents.probes.push_back(parse_probe(record));
-    } else if (record_type == "degrade") {
-      contents.degraded.push_back(parse_degrade(record));
-    } else if (record_type == "header") {
-      fail(JournalErrorCode::kCorrupt,
-           "journal '" + path + "' contains a second header record");
-    } else {
-      fail(JournalErrorCode::kCorrupt, "journal '" + path +
-                                           "' contains unknown record type '" +
-                                           record_type + "'");
-    }
-    offset = newline + 1;
-    contents.valid_bytes = offset;
+    scan.valid_bytes += newline + 1 - pos;
+    pos = newline + 1;
   }
-  if (!have_header) {
-    fail(JournalErrorCode::kCorrupt,
-         "journal '" + path + "' has no readable header record");
-  }
-  return contents;
+  return scan;
 }
 
-FramedFile read_framed_file(const std::string& path) {
+void read_framed_records(
+    const std::string& path, const std::vector<RecordSpan>& spans,
+    const std::function<void(std::string_view payload)>& on_payload) {
+  if (spans.empty()) return;
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     fail(JournalErrorCode::kIo, "cannot open journal '" + path +
                                     "' for reading: " + std::strerror(errno));
   }
-  std::string text;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    fail(JournalErrorCode::kIo, "error reading journal '" + path + "'");
-  }
-
-  FramedFile out;
-  std::size_t offset = 0;
-  while (offset < text.size()) {
-    const std::size_t newline = text.find('\n', offset);
-    const bool is_tail =
-        newline == std::string::npos || newline + 1 >= text.size();
-    const std::string_view line =
-        newline == std::string::npos
-            ? std::string_view(text).substr(offset)
-            : std::string_view(text).substr(offset, newline - offset);
-
-    FrameResult framed = unframe(line);
-    // Same torn-tail rule as read_journal: a bad or unterminated record
-    // at the very end is a torn append (dropped); earlier it is
-    // corruption at rest (refused).
-    if (!framed.ok || newline == std::string::npos) {
-      if (is_tail) {
-        out.truncated_tail = true;
-        break;
-      }
+  const FileCloser closer{file};
+  // Unbuffered: each record is one short read at a seek, which a buffer
+  // would turn into a whole buffer's refill.
+  std::setvbuf(file, nullptr, _IONBF, 0);
+  std::string line;
+  for (const RecordSpan& span : spans) {
+    line.resize(static_cast<std::size_t>(span.size));
+    if (std::fseek(file, static_cast<long>(span.offset), SEEK_SET) != 0 ||
+        std::fread(line.data(), 1, line.size(), file) != line.size()) {
+      fail(JournalErrorCode::kIo, "error reading journal '" + path +
+                                      "' at byte offset " +
+                                      std::to_string(span.offset));
+    }
+    const std::optional<std::string_view> payload =
+        line.empty() || line.back() != '\n'
+            ? std::nullopt
+            : unframe(std::string_view(line).substr(0, line.size() - 1));
+    if (!payload.has_value()) {
       fail(JournalErrorCode::kCorrupt,
            "journal '" + path + "' is corrupt at byte offset " +
-               std::to_string(offset));
+               std::to_string(span.offset));
     }
-    out.payloads.push_back(std::move(framed.payload));
-    offset = newline + 1;
-    out.valid_bytes = offset;
+    on_payload(*payload);
   }
-  return out;
+}
+
+JournalContents read_journal(const std::string& path) {
+  JournalContents contents;
+  bool have_header = false;
+  const FramedScan scan = scan_framed_file(
+      path, [&](std::string_view payload, const RecordSpan&) {
+        util::JsonValue record;
+        try {
+          record = util::parse_json(payload);
+        } catch (const std::invalid_argument&) {
+          return false;
+        }
+        if (!record.is_object() || !record.contains("t") ||
+            !record.at("t").is_string()) {
+          return false;
+        }
+        const std::string& type = record.at("t").as_string();
+        if (!have_header) {
+          if (type != "header") {
+            fail(JournalErrorCode::kCorrupt,
+                 "journal '" + path + "' does not begin with a header record");
+          }
+          contents.header = parse_header(record);
+          have_header = true;
+        } else if (type == "probe") {
+          contents.probes.push_back(parse_probe(record));
+        } else if (type == "degrade") {
+          contents.degraded.push_back(parse_degrade(record));
+        } else if (type == "header") {
+          fail(JournalErrorCode::kCorrupt,
+               "journal '" + path + "' contains a second header record");
+        } else {
+          fail(JournalErrorCode::kCorrupt,
+               "journal '" + path + "' contains unknown record type '" +
+                   type + "'");
+        }
+        return true;
+      });
+  if (!have_header) {
+    fail(JournalErrorCode::kCorrupt,
+         "journal '" + path + "' has no readable header record");
+  }
+  contents.valid_bytes = scan.valid_bytes;
+  contents.truncated_tail = scan.truncated_tail;
+  return contents;
 }
 
 }  // namespace mlcd::journal

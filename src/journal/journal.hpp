@@ -30,11 +30,20 @@
 // profiler/fault knobs, surrogate cadence, warm-start hash). A resume
 // request whose own configuration hashes differently is refused: the
 // journal describes a different search.
+//
+// The service's batch log (service/batch_journal.hpp) shares this
+// framing and these record payloads: its probe and degrade records are
+// the same payloads tagged with a `"job"` index, and it stages them
+// into one file that a commit fence makes durable a group at a time.
+// The storage-fault injector is consulted once per record either way —
+// per run-journal append, and per record staged into the batch log — so
+// `fail_at` indexes records, not fsyncs.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -44,6 +53,10 @@
 namespace mlcd::cloud {
 class InstanceCatalog;
 }  // namespace mlcd::cloud
+
+namespace mlcd::util {
+class JsonValue;
+}  // namespace mlcd::util
 
 namespace mlcd::journal {
 
@@ -86,10 +99,12 @@ enum class IoFaultKind {
 };
 
 /// Seeded storage-fault injector for the framed journal writers. Tests
-/// install one process-globally (set_io_fault_injector); every framed
-/// append — run journals and the batch manifest alike — consults it
-/// once, so `fail_at` indexes the global append sequence. Thread-safe:
-/// concurrent appends each draw a distinct index.
+/// install one process-globally (set_io_fault_injector); every record —
+/// each run-journal append and each record staged into the batch log —
+/// consults it once, so `fail_at` indexes the global record sequence. A
+/// fault drawn for a staged batch-log record fires when the commit that
+/// holds it writes. Thread-safe: concurrent records each draw a
+/// distinct index.
 class IoFaultInjector {
  public:
   struct Options {
@@ -100,10 +115,10 @@ class IoFaultInjector {
   };
   explicit IoFaultInjector(const Options& options) : options_(options) {}
 
-  /// Fate of the next framed append: the fault to inject, or nullopt.
+  /// Fate of the next record: the fault to inject, or nullopt.
   std::optional<IoFaultKind> next_append() noexcept;
 
-  /// Appends observed so far (for sweeping fail_at over a run's length).
+  /// Records observed so far (for sweeping fail_at over a run's length).
   std::uint64_t appends() const noexcept {
     return counter_.load(std::memory_order_relaxed);
   }
@@ -114,7 +129,7 @@ class IoFaultInjector {
 };
 
 /// Installs (or clears, with nullptr) the process-global fault injector
-/// consulted by every framed append. The injector must outlive its
+/// consulted by every framed record. The injector must outlive its
 /// installation window; tests clear the hook before destroying it.
 void set_io_fault_injector(IoFaultInjector* injector) noexcept;
 IoFaultInjector* io_fault_injector() noexcept;
@@ -211,17 +226,27 @@ struct JournalContents {
   bool truncated_tail = false;
 };
 
-/// Append-only writer of MLCDJ1-framed records. Every append is framed,
-/// written, flushed, and fsync'd before returning, and consults the
-/// installed IoFaultInjector (if any) first. RunJournal and the service
-/// batch manifest both sit on this writer, so storage-fault injection
-/// and the write-ahead discipline are exercised identically for either.
+/// A fault the injector drew for one record, applied when the bytes
+/// holding that record are written: the record starts `offset` bytes
+/// into the write and frames to `size` bytes.
+struct PendingFault {
+  IoFaultKind kind = IoFaultKind::kFsyncFail;
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+/// Append-only writer of MLCDJ1-framed records. RunJournal appends one
+/// record per call; the service batch log writes a whole commit group of
+/// pre-framed records with one write_durably(). Either way the bytes are
+/// written, flushed, and fsync'd before the call returns, so storage-
+/// fault injection and the write-ahead discipline behave identically.
 class FramedWriter {
  public:
   /// Starts a fresh framed file at `path` whose first record is
   /// `header`, replacing any existing file. The header is written and
-  /// fsync'd under `<path>.tmp`, which is then renamed onto `path`, so
-  /// `path` is only ever visible with a durable header. Throws
+  /// fsync'd under `<path>.tmp`, which is then renamed onto `path` and
+  /// the parent directory fsync'd, so `path` is only ever visible with a
+  /// durable header and its name survives a power loss. Throws
   /// JournalError(kIo).
   static FramedWriter create(const std::string& path,
                              const std::string& header);
@@ -237,11 +262,19 @@ class FramedWriter {
   FramedWriter& operator=(const FramedWriter&) = delete;
   ~FramedWriter();
 
-  /// Frames `payload` and durably appends it. Throws JournalError(kIo)
-  /// on any write/flush/fsync failure, real or injected. A failed
-  /// append leaves no in-memory residue — at worst a torn record
-  /// prefix on disk, which readers drop as a torn tail.
+  /// Frames `payload`, draws its fate from the installed IoFaultInjector,
+  /// and durably appends it. Throws JournalError(kIo) on any
+  /// write/flush/fsync failure, real or injected. A failed append leaves
+  /// no in-memory residue — at worst a torn record prefix on disk, which
+  /// readers drop as a torn tail.
   void append(const std::string& payload);
+
+  /// Appends already-framed `bytes` with one write and one fsync. A
+  /// `fault` lands what a real one would (nothing of its record on
+  /// ENOSPC, half of it on a short write, everything on an fsync
+  /// failure) and then throws JournalError(kIo), as does a real failure.
+  void write_durably(std::string_view bytes,
+                     const std::optional<PendingFault>& fault = std::nullopt);
 
   const std::string& path() const noexcept { return path_; }
 
@@ -252,11 +285,28 @@ class FramedWriter {
   std::FILE* file_ = nullptr;
 };
 
+/// Fsyncs directory `dir` so the names created or renamed in it survive a
+/// power loss. A no-op where directories cannot be opened for fsync
+/// (Windows). Throws JournalError(kIo).
+void fsync_directory(const std::string& dir);
+
+/// Where a search session's write-ahead records go: a RunJournal file
+/// (solo runs, `mlcd deploy --journal`) or one job's share of the
+/// service's batch log. append_probe() must have made the record
+/// durable — or handed it to a caller that holds the step back until it
+/// is — before the step is admitted. Throws JournalError on failure.
+class RecordSink {
+ public:
+  virtual ~RecordSink() = default;
+  virtual void append_probe(const ProbeRecord& record) = 0;
+  virtual void append_degrade(const DegradeRecord& record) = 0;
+};
+
 /// Append-only journal writer. Every append is framed, written, and
 /// fsync'd before returning — when append_probe() returns, the probe's
 /// spend survives a crash of this process (write-ahead discipline: the
 /// caller admits the probe into its in-memory trace only afterwards).
-class RunJournal {
+class RunJournal final : public RecordSink {
  public:
   /// Starts a fresh journal at `path` (replacing any existing file)
   /// whose first record is the durable header (FramedWriter::create).
@@ -273,16 +323,15 @@ class RunJournal {
   RunJournal& operator=(RunJournal&& other) noexcept;
   RunJournal(const RunJournal&) = delete;
   RunJournal& operator=(const RunJournal&) = delete;
-  ~RunJournal();
+  ~RunJournal() override;
 
-  void append_probe(const ProbeRecord& record);
-  void append_degrade(const DegradeRecord& record);
+  void append_probe(const ProbeRecord& record) override;
+  void append_degrade(const DegradeRecord& record) override;
 
   const std::string& path() const noexcept { return writer_.path(); }
 
  private:
   explicit RunJournal(FramedWriter writer);
-  void append_record(const std::string& payload);
 
   FramedWriter writer_;
 };
@@ -298,18 +347,66 @@ JournalContents read_journal(const std::string& path);
 /// CRC-32 of the payload, payload, newline).
 std::string frame_record(const std::string& payload);
 
-/// A framed file read back generically: every cleanly-framed payload in
-/// order, for readers whose record schema lives above the journal layer
-/// (the service batch manifest). A framing/CRC failure on the final,
-/// unterminated record is a torn append and is dropped (truncated_tail
-/// set); anywhere earlier the file is corrupt at rest and reading
-/// throws JournalError(kCorrupt).
-struct FramedFile {
-  std::vector<std::string> payloads;
+/// Frames `payload` onto the end of `out` (frame_record without the
+/// temporary).
+void append_framed(std::string& out, std::string_view payload);
+
+/// Record payloads, shared by the run journal and the batch log. `job`
+/// >= 0 tags a probe/degrade record with its batch job index (a `"job"`
+/// key right after the type); -1 writes the untagged run-journal bytes.
+std::string header_payload(const JournalHeader& header);
+std::string probe_payload(const ProbeRecord& record, int job = -1);
+std::string degrade_payload(const DegradeRecord& record, int job = -1);
+
+/// Parsers for those payloads (already parsed as JSON objects). Missing
+/// or mistyped fields throw JournalError(kCorrupt); an unsupported header
+/// version throws kVersionMismatch. Unknown keys — such as a batch log's
+/// `"job"` tag — are ignored.
+JournalHeader parse_header(const util::JsonValue& record);
+ProbeRecord parse_probe(const util::JsonValue& record);
+DegradeRecord parse_degrade(const util::JsonValue& record);
+
+/// Name of the first header field on which `got` (what a journal
+/// recorded) differs from `want` (what this run would record); empty
+/// when they describe the same search.
+std::string header_diff(const JournalHeader& got, const JournalHeader& want);
+
+/// Where one record sits in a framed file: the byte offset of its line
+/// and the line's length, newline included.
+struct RecordSpan {
+  std::uint64_t offset = 0;
+  std::uint64_t size = 0;
+};
+
+/// How far a streaming scan read cleanly.
+struct FramedScan {
+  /// Bytes of the file that framed cleanly; a writer reopening the file
+  /// truncates to this length before appending.
   std::uint64_t valid_bytes = 0;
+  /// True when a torn tail record was dropped.
   bool truncated_tail = false;
 };
-FramedFile read_framed_file(const std::string& path);
+
+/// Streams a framed file record by record — holding one read buffer,
+/// never the whole file — and hands each cleanly framed payload, with
+/// the span of its line, to `on_payload`. A record that fails to frame,
+/// or whose payload `on_payload` rejects by returning false, is a torn
+/// append when it is the final record (dropped, truncated_tail set) and
+/// corruption at rest anywhere earlier (JournalError(kCorrupt)).
+/// Exceptions from `on_payload` propagate. Throws JournalError(kIo) when
+/// the file cannot be read.
+FramedScan scan_framed_file(
+    const std::string& path,
+    const std::function<bool(std::string_view payload,
+                             const RecordSpan& span)>& on_payload);
+
+/// Reads back the records at `spans` (found by an earlier scan of the
+/// same file), handing each payload to `on_payload` in order. A span
+/// that no longer frames throws JournalError(kCorrupt); a read failure
+/// throws kIo.
+void read_framed_records(
+    const std::string& path, const std::vector<RecordSpan>& spans,
+    const std::function<void(std::string_view payload)>& on_payload);
 
 /// CRC-32 (IEEE 802.3, reflected) of a byte string.
 std::uint32_t crc32(std::string_view bytes) noexcept;

@@ -51,38 +51,6 @@ std::uint64_t hash_warm_start(
   return h.digest();
 }
 
-/// Name of the first header field on which `got` (the journal) differs
-/// from `want` (this request); empty when they describe the same search.
-std::string header_diff(const journal::JournalHeader& got,
-                        const journal::JournalHeader& want) {
-  if (got.method != want.method) return "method";
-  if (got.model != want.model) return "model";
-  if (got.platform != want.platform) return "platform";
-  if (got.scenario_kind != want.scenario_kind) return "scenario kind";
-  if (got.deadline_hours != want.deadline_hours) return "deadline_hours";
-  if (got.budget_dollars != want.budget_dollars) return "budget_dollars";
-  if (got.seed != want.seed) return "seed";
-  if (got.max_nodes != want.max_nodes) return "max_nodes";
-  if (got.use_spot != want.use_spot) return "use_spot";
-  if (got.gp_refit_every != want.gp_refit_every) return "gp_refit_every";
-  if (got.catalog_hash != want.catalog_hash) return "catalog contents";
-  // A version-1 journal carries hash 0 (ladder disabled), so resuming an
-  // old journal with a ladder configured — or vice versa — is refused
-  // here: the ladder changes which probes the strategies propose. The
-  // check precedes the profiler-options check because the ladder is
-  // also mixed into that hash — this order names the precise culprit.
-  if (got.fidelity_ladder_hash != want.fidelity_ladder_hash) {
-    return "fidelity ladder";
-  }
-  if (got.profiler_options_hash != want.profiler_options_hash) {
-    return "profiler/fault options";
-  }
-  if (got.warm_start_hash != want.warm_start_hash) {
-    return "warm-start points";
-  }
-  return "";
-}
-
 }  // namespace
 
 DeployResult DeployResult::success(RunReport report) {
@@ -131,6 +99,7 @@ struct PreparedJob::Context {
   std::optional<perf::TrainingPerfModel> perf_view;
   std::unique_ptr<search::Searcher> searcher;
   std::optional<journal::RunJournal> writer;
+  journal::JournalHeader header;
   search::SearchProblem problem;
   std::string resumed_from;
   /// Why journal creation failed under the degrade policy (empty
@@ -149,12 +118,17 @@ search::SearchSession& PreparedJob::session() noexcept {
   return *context_->session;
 }
 
+const journal::JournalHeader& PreparedJob::journal_header() const noexcept {
+  return context_->header;
+}
+
 DeployResult PreparedJob::finish() {
   RunReport report;
   report.request = context_->request;
   // The gate and any re-staging replay records are scoped to the run;
   // never let them leak out of the report.
   report.request.probe_gate = nullptr;
+  report.request.journal_sink = nullptr;
   report.request.replay_records.clear();
   report.scenario = context_->scenario;
   report.resumed_from = context_->resumed_from;
@@ -311,6 +285,12 @@ PrepareResult Mlcd::prepare(const JobRequest& request) const {
                   "in-memory replay_records cannot be combined with a "
                   "journal or resume path");
   }
+  if (request.journal_sink != nullptr &&
+      (!request.resume_path.empty() || !request.journal_path.empty())) {
+    return reject(JobErrorCode::kInvalidRequest,
+                  "a caller-owned journal sink cannot be combined with a "
+                  "journal or resume path");
+  }
   journal::JournalHeader header;
   header.method = request.search_method;
   header.model = request.model;
@@ -337,7 +317,7 @@ PrepareResult Mlcd::prepare(const JobRequest& request) const {
     if (!request.resume_path.empty()) {
       journal::JournalContents contents =
           journal::read_journal(request.resume_path);
-      const std::string diff = header_diff(contents.header, header);
+      const std::string diff = journal::header_diff(contents.header, header);
       if (!diff.empty()) {
         throw journal::JournalError(
             journal::JournalErrorCode::kHeaderMismatch,
@@ -372,9 +352,14 @@ PrepareResult Mlcd::prepare(const JobRequest& request) const {
       MLCD_LOG(kInfo, "mlcd")
           << "re-staging from " << request.replay_records.size()
           << " in-memory probe records";
-      problem.replay = request.replay_records;
+      problem.replay = std::move(context->request.replay_records);
     }
-    if (context->writer) problem.journal = &*context->writer;
+    if (context->writer) {
+      problem.journal = &*context->writer;
+    } else {
+      problem.journal = request.journal_sink;
+    }
+    context->header = header;
 
     // Session construction performs no probes and draws nothing from
     // seeded streams — a prepared job that is never driven spends $0.

@@ -90,6 +90,12 @@ struct JobRequest {
   /// and journal_path (journaled jobs re-stage through their own WAL
   /// file instead). Empty disables.
   std::vector<journal::ProbeRecord> replay_records;
+  /// Write-ahead sink owned by the caller (service layer): a durable
+  /// batch routes every probe and degrade record of the job into its one
+  /// batch log through this sink instead of a per-job journal file.
+  /// Mutually exclusive with journal_path and resume_path. Not owned;
+  /// nullptr (default) disables.
+  journal::RecordSink* journal_sink = nullptr;
 };
 
 /// MLCD's answer: the selected deployment plus all accounting.
@@ -199,6 +205,11 @@ class PreparedJob {
   /// The resumable search session. Probes execute only when a driver
   /// steps it — preparing a job spends nothing.
   search::SearchSession& session() noexcept;
+
+  /// The journal header of this search: everything that shapes its probe
+  /// sequence. A batch log records it so a resume can refuse a job whose
+  /// search changed (journal::header_diff).
+  const journal::JournalHeader& journal_header() const noexcept;
 
   /// Final deployment selection + report assembly for a session whose
   /// strategy has finished. The returned report is byte-identical to the

@@ -12,7 +12,7 @@ namespace {
 // stays consistent either way.
 void journal_step(SearchSession& session,
                   const journal::ProbeRecord& record) {
-  journal::RunJournal* journal = session.journal();
+  journal::RecordSink* journal = session.journal();
   if (journal == nullptr) return;
   try {
     journal->append_probe(record);

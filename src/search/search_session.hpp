@@ -52,11 +52,11 @@ struct SearchProblem {
   /// 1 (default) retunes on every probe — the exact legacy behavior;
   /// <= 0 never retunes after the first build.
   int gp_refit_every = 1;
-  /// Durable run journal the ProbeDriver appends each probe outcome to
-  /// *before* it is admitted into the trace (write-ahead discipline).
-  /// The journal must already contain its header. nullptr = no
-  /// journaling. Not owned.
-  journal::RunJournal* journal = nullptr;
+  /// Write-ahead sink the ProbeDriver appends each probe outcome to
+  /// *before* it is admitted into the trace: a RunJournal (which must
+  /// already contain its header) or a job's share of the service batch
+  /// log. nullptr = no journaling. Not owned.
+  journal::RecordSink* journal = nullptr;
   /// What a journal append failure mid-run does: kAbort surfaces the
   /// typed JournalError (the run fails as kJournalError); kDegrade drops
   /// the session to journal-less operation with a reported warning and
@@ -257,7 +257,7 @@ class SearchSession {
   /// The problem's journal, or nullptr once a mid-run append failure
   /// degraded this session to journal-less operation. Drivers append
   /// through this accessor, never through the problem directly.
-  journal::RunJournal* journal() const noexcept {
+  journal::RecordSink* journal() const noexcept {
     return journal_degraded_ ? nullptr : problem_->journal;
   }
 

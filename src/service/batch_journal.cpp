@@ -1,7 +1,10 @@
 #include "service/batch_journal.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <utility>
 
@@ -53,9 +56,8 @@ std::string compose_record(const BatchJobRecord& r) {
   out << "{\"t\":\"job\",\"phase\":\"" << phase_name(r.phase)
       << "\",\"job\":" << r.job << ",\"name\":\""
       << util::JsonWriter::escape(r.name) << "\"";
-  if (r.phase != BatchJobPhase::kAdmitted) {
-    out << ",\"journal_file\":\"" << util::JsonWriter::escape(r.journal_file)
-        << "\"";
+  if (r.phase == BatchJobPhase::kAssigned) {
+    out << ",\"header\":" << journal::header_payload(r.header);
   }
   if (r.phase == BatchJobPhase::kFinished) {
     out << ",\"ok\":" << (r.ok ? "true" : "false") << ",\"outcome\":\""
@@ -69,7 +71,7 @@ std::string compose_record(const BatchJobRecord& r) {
 double require_number(const util::JsonValue& obj, std::string_view key) {
   if (!obj.contains(key) || !obj.at(key).is_number()) {
     fail(JournalErrorCode::kCorrupt,
-         "batch manifest record missing numeric field '" + std::string(key) +
+         "batch log record missing numeric field '" + std::string(key) +
              "'");
   }
   return obj.at(key).as_number();
@@ -82,7 +84,7 @@ int require_int(const util::JsonValue& obj, std::string_view key) {
 bool require_bool(const util::JsonValue& obj, std::string_view key) {
   if (!obj.contains(key) || !obj.at(key).is_bool()) {
     fail(JournalErrorCode::kCorrupt,
-         "batch manifest record missing boolean field '" + std::string(key) +
+         "batch log record missing boolean field '" + std::string(key) +
              "'");
   }
   return obj.at(key).as_bool();
@@ -91,7 +93,7 @@ bool require_bool(const util::JsonValue& obj, std::string_view key) {
 std::string require_string(const util::JsonValue& obj, std::string_view key) {
   if (!obj.contains(key) || !obj.at(key).is_string()) {
     fail(JournalErrorCode::kCorrupt,
-         "batch manifest record missing string field '" + std::string(key) +
+         "batch log record missing string field '" + std::string(key) +
              "'");
   }
   return obj.at(key).as_string();
@@ -103,132 +105,412 @@ std::uint64_t require_u64(const util::JsonValue& obj, std::string_view key) {
   char* end = nullptr;
   const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
   if (errno != 0 || end == text.c_str() || *end != '\0') {
-    fail(JournalErrorCode::kCorrupt, "batch manifest field '" +
-                                         std::string(key) +
-                                         "' is not a uint64");
+    fail(JournalErrorCode::kCorrupt,
+         "batch log field '" + std::string(key) + "' is not a uint64");
   }
   return value;
 }
 
+BatchManifestHeader parse_batch_header(const util::JsonValue& record) {
+  BatchManifestHeader h;
+  h.version = require_int(record, "version");
+  if (h.version != kBatchManifestVersion) {
+    fail(JournalErrorCode::kVersionMismatch,
+         "batch log version " + std::to_string(h.version) +
+             " is not supported (expected " +
+             std::to_string(kBatchManifestVersion) + ")");
+  }
+  h.workload_hash = require_u64(record, "workload_hash");
+  h.chaos_seed = require_u64(record, "chaos_seed");
+  h.job_count = require_int(record, "job_count");
+  h.capacity_nodes = require_int(record, "capacity_nodes");
+  h.tenant_max_jobs = require_int(record, "tenant_max_jobs");
+  return h;
+}
+
 }  // namespace
 
-BatchJournal::BatchJournal(journal::FramedWriter writer)
-    : writer_(std::move(writer)) {}
+// --------------------------------------------------------------------
+// BatchLog
+// --------------------------------------------------------------------
 
-std::unique_ptr<BatchJournal> BatchJournal::create(
-    const std::string& path, const BatchManifestHeader& header) {
-  return std::unique_ptr<BatchJournal>(new BatchJournal(
-      journal::FramedWriter::create(path, compose_header(header))));
+BatchLog::BatchLog(std::string path,
+                   std::optional<journal::FramedWriter> writer,
+                   std::string error)
+    : path_(std::move(path)),
+      writer_(std::move(writer)),
+      error_(std::move(error)) {}
+
+std::unique_ptr<BatchLog> BatchLog::create(
+    const std::string& path, const BatchManifestHeader& header,
+    const std::vector<std::string>& roster) {
+  std::unique_ptr<BatchLog> log(new BatchLog(
+      path, journal::FramedWriter::create(path, compose_header(header)),
+      std::string()));
+  // Write-ahead: the whole fleet is logged as admitted before any probe
+  // runs, so a kill during job 0 still knows the batch roster — one
+  // commit for the lot.
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    BatchJobRecord record;
+    record.phase = BatchJobPhase::kAdmitted;
+    record.job = static_cast<int>(i);
+    record.name = roster[i];
+    log->stage(record);
+  }
+  log->flush();
+  const std::string failure = log->error();
+  if (!failure.empty()) throw JournalError(JournalErrorCode::kIo, failure);
+  return log;
 }
 
-std::unique_ptr<BatchJournal> BatchJournal::append_to(
-    const std::string& path, std::uint64_t valid_bytes) {
-  return std::unique_ptr<BatchJournal>(
-      new BatchJournal(journal::FramedWriter::append_to(path, valid_bytes)));
+std::unique_ptr<BatchLog> BatchLog::append_to(const std::string& path,
+                                              std::uint64_t valid_bytes) {
+  return std::unique_ptr<BatchLog>(new BatchLog(
+      path, journal::FramedWriter::append_to(path, valid_bytes),
+      std::string()));
 }
 
-void BatchJournal::append(const BatchJobRecord& record) {
-  const std::string payload = compose_record(record);
+std::unique_ptr<BatchLog> BatchLog::failed(const std::string& path,
+                                           const std::string& reason) {
+  return std::unique_ptr<BatchLog>(
+      new BatchLog(path, std::nullopt, reason));
+}
+
+std::optional<std::uint64_t> BatchLog::stage(const BatchJobRecord& record) {
+  return stage_payload(record.job, compose_record(record));
+}
+
+std::optional<std::uint64_t> BatchLog::stage_probe(
+    int job, const journal::ProbeRecord& record) {
+  return stage_payload(job, journal::probe_payload(record, job));
+}
+
+std::optional<std::uint64_t> BatchLog::stage_degrade(
+    int job, const journal::DegradeRecord& record) {
+  return stage_payload(job, journal::degrade_payload(record, job));
+}
+
+std::optional<std::uint64_t> BatchLog::stage_payload(
+    int job, const std::string& payload) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  writer_.append(payload);
+  if (!error_.empty()) {
+    lost_jobs_.push_back(job);
+    return std::nullopt;
+  }
+  const std::size_t offset = staged_.size();
+  journal::append_framed(staged_, payload);
+  // One draw per staged record, in staging order: `fail_at` indexes
+  // records exactly as it indexes run-journal appends.
+  if (journal::IoFaultInjector* injector = journal::io_fault_injector()) {
+    if (const std::optional<journal::IoFaultKind> kind =
+            injector->next_append()) {
+      if (!staged_fault_.has_value()) {
+        staged_fault_ =
+            journal::PendingFault{*kind, offset, staged_.size() - offset};
+      }
+    }
+  }
+  staged_jobs_.push_back(job);
+  return ++staged_lsn_;
 }
+
+BatchLog::Fence BatchLog::park(std::uint64_t lsn, const Waiter& waiter,
+                               const std::function<void()>& on_park) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (lsn <= durable_lsn_) return Fence::kDurable;
+  if (!error_.empty()) return Fence::kFailed;
+  waiters_.push_back(Parked{lsn, waiter});
+  if (on_park) on_park();
+  return Fence::kParked;
+}
+
+bool BatchLog::commit(std::vector<Waiter>& released) {
+  std::optional<journal::PendingFault> fault;
+  std::uint64_t lsn = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (in_flight_ || staged_.empty() || !error_.empty()) return false;
+    in_flight_ = true;
+    writing_.swap(staged_);
+    writing_jobs_.swap(staged_jobs_);
+    fault = staged_fault_;
+    staged_fault_.reset();
+    lsn = staged_lsn_;
+  }
+  // The disk work runs outside the lock: lanes keep staging into the
+  // other buffer while this round writes.
+  std::string failure;
+  try {
+    writer_->write_durably(writing_, fault);
+  } catch (const JournalError& e) {
+    failure = e.what();
+  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  in_flight_ = false;
+  if (failure.empty()) {
+    durable_lsn_ = lsn;
+    ++commits_;
+    std::size_t kept = 0;
+    for (Parked& parked : waiters_) {
+      if (parked.lsn <= lsn) {
+        released.push_back(parked.waiter);
+        released.back().durable = true;
+      } else {
+        waiters_[kept++] = parked;
+      }
+    }
+    waiters_.resize(kept);
+  } else {
+    // Nothing staged so far is known durable, and nothing more will be:
+    // fail every waiter and every record staged behind this round.
+    error_ = failure;
+    lost_jobs_.insert(lost_jobs_.end(), writing_jobs_.begin(),
+                      writing_jobs_.end());
+    lost_jobs_.insert(lost_jobs_.end(), staged_jobs_.begin(),
+                      staged_jobs_.end());
+    staged_.clear();
+    staged_jobs_.clear();
+    staged_fault_.reset();
+    for (const Parked& parked : waiters_) {
+      released.push_back(parked.waiter);
+      released.back().durable = false;
+    }
+    waiters_.clear();
+  }
+  writing_.clear();
+  writing_jobs_.clear();
+  return true;
+}
+
+void BatchLog::flush() {
+  std::vector<Waiter> released;
+  while (commit(released)) {
+  }
+}
+
+std::string BatchLog::error() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return error_;
+}
+
+std::vector<int> BatchLog::lost_jobs() const {
+  std::vector<int> jobs;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    jobs = lost_jobs_;
+  }
+  std::sort(jobs.begin(), jobs.end());
+  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
+  if (!jobs.empty() && jobs.front() < 0) jobs.erase(jobs.begin());
+  return jobs;
+}
+
+std::int64_t BatchLog::commits() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return commits_;
+}
+
+std::int64_t BatchLog::records() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return static_cast<std::int64_t>(staged_lsn_);
+}
+
+void BatchLogSink::append_probe(const journal::ProbeRecord& record) {
+  staged_ = log_->stage_probe(job_, record);
+  if (!staged_.has_value()) refuse();
+}
+
+void BatchLogSink::append_degrade(const journal::DegradeRecord& record) {
+  if (!log_->stage_degrade(job_, record).has_value()) refuse();
+}
+
+void BatchLogSink::refuse() const {
+  throw JournalError(JournalErrorCode::kIo, "batch log '" + log_->path() +
+                                                "' accepts no more records: " +
+                                                log_->error());
+}
+
+// --------------------------------------------------------------------
+// Read-back
+// --------------------------------------------------------------------
+
+namespace {
+
+/// Parses one probe payload of the log at `path` (kCorrupt if it is not
+/// a JSON object).
+journal::ProbeRecord parse_probe_payload(const std::string& path,
+                                         std::string_view payload) {
+  util::JsonValue record;
+  try {
+    record = util::parse_json(payload);
+  } catch (const std::invalid_argument&) {
+    record = util::JsonValue();
+  }
+  if (!record.is_object()) {
+    fail(JournalErrorCode::kCorrupt,
+         "batch log '" + path + "' contains an unparsable probe record");
+  }
+  return journal::parse_probe(record);
+}
+
+/// The job index of a probe payload as the writer composes it — type
+/// and job first — or -1 when the payload does not start that way.
+int tagged_probe_job(std::string_view payload) {
+  constexpr std::string_view kPrefix = R"({"t":"probe","job":)";
+  if (payload.substr(0, kPrefix.size()) != kPrefix) return -1;
+  int job = 0;
+  std::size_t at = kPrefix.size();
+  const std::size_t digits = at;
+  while (at < payload.size() && payload[at] >= '0' && payload[at] <= '9' &&
+         at - digits < 9) {
+    job = job * 10 + (payload[at] - '0');
+    ++at;
+  }
+  if (at == digits || at >= payload.size() || payload[at] != ',') return -1;
+  return job;
+}
+
+}  // namespace
 
 BatchManifestContents read_manifest(const std::string& path) {
-  const journal::FramedFile framed = journal::read_framed_file(path);
-
   BatchManifestContents contents;
-  contents.valid_bytes = framed.valid_bytes;
-  contents.truncated_tail = framed.truncated_tail;
-
   bool have_header = false;
-  for (const std::string& payload : framed.payloads) {
-    util::JsonValue record;
-    try {
-      record = util::parse_json(payload);
-    } catch (const std::invalid_argument&) {
-      // The frame's CRC was valid, so this is not a torn write — the
-      // writer stored garbage. Refuse.
-      fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' contains an unparsable record");
-    }
-    if (!record.is_object() || !record.contains("t") ||
-        !record.at("t").is_string()) {
-      fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' contains an untyped record");
-    }
-    const std::string type = record.at("t").as_string();
-
-    if (!have_header) {
-      if (type != "batch_header") {
-        fail(JournalErrorCode::kCorrupt,
-             "batch manifest '" + path +
-                 "' does not begin with a batch_header record");
-      }
-      BatchManifestHeader& h = contents.header;
-      h.version = require_int(record, "version");
-      if (h.version < 1 || h.version > kBatchManifestVersion) {
-        fail(JournalErrorCode::kVersionMismatch,
-             "batch manifest version " + std::to_string(h.version) +
-                 " is not supported (expected 1.." +
-                 std::to_string(kBatchManifestVersion) + ")");
-      }
-      h.workload_hash = require_u64(record, "workload_hash");
-      h.chaos_seed = require_u64(record, "chaos_seed");
-      h.job_count = require_int(record, "job_count");
-      h.capacity_nodes = require_int(record, "capacity_nodes");
-      h.tenant_max_jobs = require_int(record, "tenant_max_jobs");
-      if (h.job_count < 0) {
-        fail(JournalErrorCode::kCorrupt,
-             "batch manifest '" + path + "' declares a negative job count");
-      }
-      contents.jobs.assign(static_cast<std::size_t>(h.job_count),
-                           BatchJobState{});
-      have_header = true;
-      continue;
-    }
-
-    if (type == "batch_header") {
-      fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' contains a second header record");
-    }
-    if (type != "job") {
-      fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' contains unknown record type '" +
-               type + "'");
-    }
-    const int job = require_int(record, "job");
+  const auto probe_of = [&](int job) -> BatchJobState& {
     if (job < 0 || job >= contents.header.job_count) {
       fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' names out-of-range job index " +
+           "batch log '" + path + "' names out-of-range job index " +
                std::to_string(job));
     }
     BatchJobState& state = contents.jobs[static_cast<std::size_t>(job)];
-    const std::string phase = require_string(record, "phase");
-    if (phase == "admitted") {
-      state.admitted = true;
-    } else if (phase == "assigned") {
-      state.admitted = true;
-      state.assigned = true;
-      state.journal_file = require_string(record, "journal_file");
-    } else if (phase == "finished") {
-      state.admitted = true;
-      state.assigned = true;
-      state.finished = true;
-      state.journal_file = require_string(record, "journal_file");
-      state.ok = require_bool(record, "ok");
-      state.outcome = require_string(record, "outcome");
-      state.report_digest = require_u64(record, "report_digest");
-    } else {
+    if (!state.assigned || state.finished) {
       fail(JournalErrorCode::kCorrupt,
-           "batch manifest '" + path + "' contains unknown job phase '" +
-               phase + "'");
+           "batch log '" + path + "' holds a probe record of job " +
+               std::to_string(job) + " outside its run");
     }
-  }
+    return state;
+  };
+  const journal::FramedScan scan = journal::scan_framed_file(
+      path, [&](std::string_view payload, const journal::RecordSpan& span) {
+        // The bulk of a log is probe records; planning a resume needs
+        // only where they are, so their payloads are parsed when the
+        // job that replays them starts.
+        if (have_header) {
+          const int job = tagged_probe_job(payload);
+          if (job >= 0) {
+            probe_of(job).probe_spans.push_back(span);
+            return true;
+          }
+        }
+        util::JsonValue record;
+        try {
+          record = util::parse_json(payload);
+        } catch (const std::invalid_argument&) {
+          // The frame's CRC was valid, so this is not a torn write — the
+          // writer stored garbage. Refuse.
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' contains an unparsable record");
+        }
+        if (!record.is_object() || !record.contains("t") ||
+            !record.at("t").is_string()) {
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' contains an untyped record");
+        }
+        const std::string& type = record.at("t").as_string();
+        if (!have_header) {
+          if (type != "batch_header") {
+            fail(JournalErrorCode::kCorrupt,
+                 "batch log '" + path +
+                     "' does not begin with a batch_header record");
+          }
+          contents.header = parse_batch_header(record);
+          if (contents.header.job_count < 0) {
+            fail(JournalErrorCode::kCorrupt,
+                 "batch log '" + path + "' declares a negative job count");
+          }
+          contents.jobs.assign(
+              static_cast<std::size_t>(contents.header.job_count),
+              BatchJobState{});
+          have_header = true;
+          return true;
+        }
+        if (type == "batch_header") {
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' contains a second header record");
+        }
+        if (type != "job" && type != "probe" && type != "degrade") {
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' contains unknown record type '" +
+                   type + "'");
+        }
+        const int job = require_int(record, "job");
+        if (job < 0 || job >= contents.header.job_count) {
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' names out-of-range job index " +
+                   std::to_string(job));
+        }
+        if (type == "probe") {
+          journal::parse_probe(record);  // an untagged layout: check it now
+          probe_of(job).probe_spans.push_back(span);
+          return true;
+        }
+        BatchJobState& state = contents.jobs[static_cast<std::size_t>(job)];
+        if (type == "degrade") {
+          if (!state.assigned || state.finished) {
+            fail(JournalErrorCode::kCorrupt,
+                 "batch log '" + path + "' holds a degrade record of job " +
+                     std::to_string(job) + " outside its run");
+          }
+          journal::parse_degrade(record);  // validated, never replayed
+          return true;
+        }
+        const std::string phase = require_string(record, "phase");
+        if (phase == "admitted") {
+          state.admitted = true;
+        } else if (phase == "assigned") {
+          // A fresh (re)start: records of an earlier run of this job —
+          // one that failed, or one whose log held no probe — are void.
+          if (!record.contains("header") ||
+              !record.at("header").is_object()) {
+            fail(JournalErrorCode::kCorrupt,
+                 "batch log '" + path + "' has an assigned record without "
+                 "its journal header");
+          }
+          const bool admitted = state.admitted;
+          state = BatchJobState{};
+          state.admitted = admitted;
+          state.assigned = true;
+          state.header = journal::parse_header(record.at("header"));
+        } else if (phase == "finished") {
+          state.admitted = true;
+          state.assigned = true;
+          state.finished = true;
+          state.ok = require_bool(record, "ok");
+          state.outcome = require_string(record, "outcome");
+          state.report_digest = require_u64(record, "report_digest");
+        } else {
+          fail(JournalErrorCode::kCorrupt,
+               "batch log '" + path + "' contains unknown job phase '" +
+                   phase + "'");
+        }
+        return true;
+      });
   if (!have_header) {
     fail(JournalErrorCode::kCorrupt,
-         "batch manifest '" + path + "' has no readable header record");
+         "batch log '" + path + "' has no readable header record");
   }
+  contents.valid_bytes = scan.valid_bytes;
+  contents.truncated_tail = scan.truncated_tail;
   return contents;
+}
+
+std::vector<journal::ProbeRecord> read_probe_records(
+    const std::string& path, const std::vector<journal::RecordSpan>& spans) {
+  std::vector<journal::ProbeRecord> probes;
+  probes.reserve(spans.size());
+  journal::read_framed_records(path, spans, [&](std::string_view payload) {
+    probes.push_back(parse_probe_payload(path, payload));
+  });
+  return probes;
 }
 
 std::uint64_t hash_job(const JobSpec& job) {

@@ -1,35 +1,58 @@
-// BatchJournal: the write-ahead manifest that makes the batch service
-// itself durable.
+// BatchLog: the group-committed write-ahead log that makes a durable
+// batch (`mlcd batch --journal-dir D`) survive a kill of the process.
 //
-// PR 3 made one run crash-safe (journal/journal.hpp) and the chaos layer
-// made the scheduler survive in-process lane crashes, but a death of the
-// `mlcd batch` process still lost every job not explicitly journaled by
-// its tenant. The batch manifest closes that gap: one MLCDJ1-framed,
-// fsync'd file under the batch's `--journal-dir` records the workload
-// fingerprint and each job's lifecycle —
+// One MLCDJ1-framed, append-only file, `D/batch.mlcdb`, holds the whole
+// batch in order:
 //
-//   admitted  — the job passed admission control (written up front for
-//               the whole fleet, before any probe runs);
-//   assigned  — the job started and owns a per-job run journal file;
-//   finished  — the job completed, with its outcome and a digest of its
-//               RunReport for replay verification.
+//   batch_header — the workload fingerprint (version 2);
+//   admitted     — the roster: every job that passed admission control,
+//                  written up front and committed as one group;
+//   assigned     — a job started; the record carries the job's
+//                  journal::JournalHeader so a resume still refuses a job
+//                  whose search changed (kHeaderMismatch);
+//   probe, degrade — the job's write-ahead run records, the same payloads
+//                  a solo run journal holds, tagged with `"job"`;
+//   finished     — the job completed, with its outcome and a digest of
+//                  its RunReport for replay verification.
 //
-// `mlcd batch --journal-dir D --resume` reads the manifest back,
-// verifies the workload fingerprint, and re-plans the fleet: finished
-// jobs replay their per-job journals bit-identically with zero probes
-// re-executed, in-flight (assigned) jobs resume through the existing
-// resume_path machinery, and never-started jobs run fresh. The resulting
-// BatchReport is byte-identical to an uninterrupted run modulo the
-// resume counters. See docs/crash-safety.md.
+// Records are *staged* into one in-memory buffer and made durable by a
+// commit: one write plus one fsync for every record staged so far. A
+// probe's record must be durable before the probe is admitted, so the
+// scheduler parks the session on the log's commit fence — the same way
+// it parks for capacity — and the lane moves on. A lane that finds staged
+// bytes and no commit in flight becomes the committer; when its round
+// ends it restages every waiter the round made durable. No thread waits
+// on the disk for anyone else, and a commit carries every record its
+// lanes staged meanwhile: a batch pays one fsync per commit round, not
+// one per record.
 //
-// The manifest shares the run journal's framing, fsync discipline, and
-// storage-fault injection hook (journal::FramedWriter), so every
-// durability test exercises both writers the same way.
+// Lifecycle records never wait on the fence. Order in one append-only
+// file gives the prefix property: whatever survives a kill is a prefix of
+// what was staged, so a job's probe records are never durable without
+// its assigned record, and a lost finished record only costs the resume
+// a replay. The staging buffer is bounded by the batch itself: each job
+// has at most one probe record in flight, plus its lifecycle records.
+//
+// `mlcd batch --journal-dir D --resume` streams the log once
+// (read_manifest), verifies the fingerprint, and re-plans the fleet:
+// finished jobs replay their logged probes bit-identically with zero
+// probes re-executed, in-flight jobs replay their prefix and continue
+// live, and jobs with no probe records run fresh. A version-1 directory
+// (manifest plus per-job `.mlcdj` files) is refused with kVersionMismatch.
+// See docs/crash-safety.md.
+//
+// Storage faults: the process-global journal::IoFaultInjector is
+// consulted once per staged record, so `fail_at` indexes records; the
+// fault fires when the commit holding that record writes. A failed
+// commit fails every record staged so far, and the log then accepts
+// nothing more.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,13 +62,14 @@
 
 namespace mlcd::service {
 
-/// Batch manifest format version. Bumped on any change to the record
-/// layout; an unsupported version refuses with kVersionMismatch.
-inline constexpr int kBatchManifestVersion = 1;
+/// Batch log format version. Bumped on any change to the record layout;
+/// an unsupported version refuses with kVersionMismatch. Version 1 was a
+/// lifecycle-only manifest beside one run journal file per job.
+inline constexpr int kBatchManifestVersion = 2;
 
-/// Fingerprint of the workload a manifest belongs to. A resume whose own
+/// Fingerprint of the workload a log belongs to. A resume whose own
 /// workload/config hashes differently is refused (kHeaderMismatch): the
-/// manifest describes a different batch.
+/// log describes a different batch.
 struct BatchManifestHeader {
   int version = kBatchManifestVersion;
   /// FNV-1a over every job's hash_job, in workload order.
@@ -56,38 +80,43 @@ struct BatchManifestHeader {
   int tenant_max_jobs = 0;
 };
 
-/// Lifecycle phase a manifest job record advances a job to.
+/// Lifecycle phase a job record advances a job to.
 enum class BatchJobPhase {
   kAdmitted,
   kAssigned,
   kFinished,
 };
 
-/// One manifest record: job `job` (index into the workload's job list)
-/// reached `phase`. journal_file is meaningful from kAssigned on; the
-/// outcome fields only for kFinished.
+/// One lifecycle record: job `job` (index into the workload's job list)
+/// reached `phase`. `header` is meaningful for kAssigned, the outcome
+/// fields only for kFinished.
 struct BatchJobRecord {
   BatchJobPhase phase = BatchJobPhase::kAdmitted;
   int job = 0;
   std::string name;
-  std::string journal_file;
+  journal::JournalHeader header;
   bool ok = false;
   std::string outcome;  ///< JobStats outcome label ("ok", "journal_error", ...)
   std::uint64_t report_digest = 0;
 };
 
-/// Latest manifest state of one job, distilled from a read-back.
+/// Latest logged state of one job, distilled from a read-back.
 struct BatchJobState {
   bool admitted = false;
   bool assigned = false;
   bool finished = false;
-  std::string journal_file;
   bool ok = false;
   std::string outcome;
   std::uint64_t report_digest = 0;
+  /// The job's search, from its latest assigned record.
+  journal::JournalHeader header;
+  /// Where the probe records logged since that assigned record sit in
+  /// the log, in log order: the replay a resume feeds the job
+  /// (read_probe_records).
+  std::vector<journal::RecordSpan> probe_spans;
 };
 
-/// A manifest read back from disk (torn tail dropped, like read_journal).
+/// A log read back from disk (torn tail dropped, like read_journal).
 struct BatchManifestContents {
   BatchManifestHeader header;
   std::vector<BatchJobState> jobs;  ///< sized header.job_count
@@ -95,41 +124,159 @@ struct BatchManifestContents {
   bool truncated_tail = false;
 };
 
-/// Append-only batch manifest writer. Thread-safe: the scheduler's lanes
-/// append job transitions concurrently. Every append is framed, written,
-/// and fsync'd before returning (journal::FramedWriter underneath), so a
-/// transition that returned survives a process kill.
-class BatchJournal {
+/// The group-committed batch log. Thread-safe: every lane stages and
+/// commits through one instance.
+class BatchLog {
  public:
-  /// Starts a fresh manifest at `path` and durably writes the header.
-  /// Throws journal::JournalError(kIo).
-  static std::unique_ptr<BatchJournal> create(
-      const std::string& path, const BatchManifestHeader& header);
+  /// How a probe record's commit fence settled for its session.
+  enum class Fence {
+    kDurable,  ///< already committed: admit the probe now
+    kFailed,   ///< the log failed: the record may be lost
+    kParked,   ///< waiting; a committer restages the session
+  };
 
-  /// Reopens an existing manifest for continuation after a resume,
-  /// truncating a torn tail first.
-  static std::unique_ptr<BatchJournal> append_to(const std::string& path,
-                                                 std::uint64_t valid_bytes);
+  /// A session parked on the fence, or released by a commit round.
+  struct Waiter {
+    std::size_t job = 0;
+    std::size_t lane = 0;     ///< lane whose run queue the restage targets
+    bool durable = false;     ///< set on release: false = the commit failed
+  };
 
-  BatchJournal(const BatchJournal&) = delete;
-  BatchJournal& operator=(const BatchJournal&) = delete;
+  /// Creates the log at `path` (the header made durable under a
+  /// temporary name and renamed into place, directory fsync'd), then
+  /// stages one admitted record per `roster` name and commits them as a
+  /// single group. Throws journal::JournalError(kIo).
+  static std::unique_ptr<BatchLog> create(
+      const std::string& path, const BatchManifestHeader& header,
+      const std::vector<std::string>& roster);
 
-  void append(const BatchJobRecord& record);
+  /// Reopens an existing log for continuation after a resume, truncating
+  /// a torn tail first. Throws journal::JournalError(kIo).
+  static std::unique_ptr<BatchLog> append_to(const std::string& path,
+                                             std::uint64_t valid_bytes);
 
-  const std::string& path() const noexcept { return writer_.path(); }
+  /// A log that failed before it existed (degrade policy): it accepts
+  /// nothing, and error() is `reason`.
+  static std::unique_ptr<BatchLog> failed(const std::string& path,
+                                          const std::string& reason);
+
+  BatchLog(const BatchLog&) = delete;
+  BatchLog& operator=(const BatchLog&) = delete;
+
+  /// Stages a record without touching the disk. Returns its log sequence
+  /// number (LSN), or nullopt once the log has failed — the record is
+  /// then lost and its job counted in lost_jobs().
+  std::optional<std::uint64_t> stage(const BatchJobRecord& record);
+  std::optional<std::uint64_t> stage_probe(int job,
+                                           const journal::ProbeRecord& record);
+  std::optional<std::uint64_t> stage_degrade(
+      int job, const journal::DegradeRecord& record);
+
+  /// Parks `waiter` until record `lsn` is durable. kParked runs
+  /// `on_park` under the log lock, before any committer can release the
+  /// waiter — the caller's last chance to touch the session's state.
+  Fence park(std::uint64_t lsn, const Waiter& waiter,
+             const std::function<void()>& on_park);
+
+  /// Runs one commit round — one write and one fsync of every staged
+  /// record — when records are staged and no other round is in flight;
+  /// returns false without doing anything otherwise. Waiters the round
+  /// settles (durable, or failed with the log) are appended to
+  /// `released` for the caller to restage.
+  bool commit(std::vector<Waiter>& released);
+
+  /// Commits until nothing is staged. For single-threaded use (the
+  /// roster, the end of a batch): it assumes no round is in flight.
+  void flush();
+
+  /// First failure, empty while the log is healthy.
+  std::string error() const;
+  /// Jobs with a record the failure lost (staged into a failed commit,
+  /// or refused after it), each listed once, ascending.
+  std::vector<int> lost_jobs() const;
+  /// Commit rounds that made records durable, and records staged (the
+  /// header excluded).
+  std::int64_t commits() const;
+  std::int64_t records() const;
+
+  const std::string& path() const noexcept { return path_; }
 
  private:
-  explicit BatchJournal(journal::FramedWriter writer);
+  BatchLog(std::string path, std::optional<journal::FramedWriter> writer,
+           std::string error);
+  std::optional<std::uint64_t> stage_payload(int job,
+                                             const std::string& payload);
 
-  std::mutex mutex_;
-  journal::FramedWriter writer_;
+  const std::string path_;
+  /// Written only by the lane holding the in-flight round.
+  std::optional<journal::FramedWriter> writer_;
+
+  mutable std::mutex mutex_;
+  std::string staged_;            ///< framed records awaiting a commit
+  std::vector<int> staged_jobs_;  ///< job of each staged record (-1: none)
+  std::optional<journal::PendingFault> staged_fault_;  ///< first injected
+  std::string writing_;           ///< the in-flight round's bytes
+  std::vector<int> writing_jobs_;
+  std::uint64_t staged_lsn_ = 0;   ///< LSN of the last staged record
+  std::uint64_t durable_lsn_ = 0;  ///< LSN of the last committed record
+  bool in_flight_ = false;
+  struct Parked {
+    std::uint64_t lsn;
+    Waiter waiter;
+  };
+  std::vector<Parked> waiters_;
+  std::string error_;
+  std::vector<int> lost_jobs_;
+  std::int64_t commits_ = 0;
 };
 
-/// Reads a manifest back: header first, then every job transition folded
-/// into per-job latest state. Torn tail dropped; corruption at rest,
-/// a missing/alien header, an out-of-range job index, or an unsupported
-/// version throw typed journal::JournalError.
+/// One job's share of the batch log as its session's write-ahead sink.
+/// append_probe() only stages: the scheduler reads the record's LSN with
+/// take_staged() and holds the step back on the commit fence until the
+/// record is durable. Once the log has failed both appends throw
+/// journal::JournalError(kIo), so the session's --journal-on-error
+/// policy applies exactly as for a run journal.
+class BatchLogSink final : public journal::RecordSink {
+ public:
+  void bind(BatchLog* log, int job) noexcept {
+    log_ = log;
+    job_ = job;
+  }
+
+  void append_probe(const journal::ProbeRecord& record) override;
+  void append_degrade(const journal::DegradeRecord& record) override;
+
+  /// LSN of the probe record staged since the last call, if any.
+  std::optional<std::uint64_t> take_staged() noexcept {
+    std::optional<std::uint64_t> lsn = staged_;
+    staged_.reset();
+    return lsn;
+  }
+
+ private:
+  [[noreturn]] void refuse() const;
+
+  BatchLog* log_ = nullptr;
+  int job_ = 0;
+  std::optional<std::uint64_t> staged_;
+};
+
+/// Reads a log back in one streaming pass: header first, then every
+/// record folded into per-job state — lifecycle flags, the latest
+/// assigned header, and where the probes logged since it sit. Torn tail
+/// dropped; corruption at rest, a missing/alien header, an out-of-range
+/// job index, a probe for a job never assigned, or an unsupported
+/// version throw typed journal::JournalError. Probe payloads are parsed
+/// only when read back with read_probe_records — a resume does that as
+/// each job starts, so the log's records are never all in memory at
+/// once.
 BatchManifestContents read_manifest(const std::string& path);
+
+/// Reads and parses the probe records at `spans` of the log at `path`.
+/// Throws typed journal::JournalError (kCorrupt for a record that no
+/// longer frames or parses, kIo for a read failure).
+std::vector<journal::ProbeRecord> read_probe_records(
+    const std::string& path, const std::vector<journal::RecordSpan>& spans);
 
 /// FNV-1a fingerprint of one job spec: every field that shapes the job's
 /// probe trace or its admission (name, tenant, request knobs, SLOs).
@@ -137,8 +284,8 @@ BatchManifestContents read_manifest(const std::string& path);
 /// are deliberately excluded, so a resume may change them freely.
 std::uint64_t hash_job(const JobSpec& job);
 
-/// Manifest header for a workload about to run under the given capacity
-/// and quota configuration.
+/// Log header for a workload about to run under the given capacity and
+/// quota configuration.
 BatchManifestHeader make_manifest_header(const Workload& workload,
                                          int capacity_nodes,
                                          int tenant_max_jobs);
@@ -147,8 +294,8 @@ BatchManifestHeader make_manifest_header(const Workload& workload,
 /// accounting, and the full probe trace — excluding the resume
 /// bookkeeping (replayed flags/counters, journal paths) that legitimately
 /// differs between an uninterrupted run and its replayed twin. A replay
-/// whose digest differs from the manifest's finished record diverged and
-/// is refused (kReplayDiverged).
+/// whose digest differs from the log's finished record diverged and is
+/// refused (kReplayDiverged).
 std::uint64_t digest_run_report(const system::RunReport& report);
 
 }  // namespace mlcd::service

@@ -177,12 +177,18 @@ struct BatchReport {
   /// fault-free batch). chaos.seed is the batch-level `chaos_seed` that
   /// makes every chaotic run bit-reproducible.
   ChaosOptions chaos;
-  /// Set when a degrade-policy batch lost its write-ahead manifest to a
-  /// storage fault mid-run: results are complete and correct, but the
-  /// batch is no longer kill-resumable. Never set under the abort
-  /// policy, which surfaces the fault as a JournalError instead.
+  /// Set when a degrade-policy batch lost its write-ahead batch log to a
+  /// storage fault: results are complete and correct, but the batch is
+  /// no longer kill-resumable. Never set under the abort policy, which
+  /// fails every job whose records the log lost with a typed
+  /// journal_error instead.
   bool batch_journal_degraded = false;
   std::string batch_journal_degrade_reason;
+  /// Durable batches: commit rounds and records of this run's batch log
+  /// (BatchLog::commits / records). Wall-clock grouping decides the
+  /// commit count, so neither is part of to_json().
+  std::int64_t log_commits = 0;
+  std::int64_t log_records = 0;
 
   /// Jobs that completed with a RunReport.
   int succeeded() const noexcept;

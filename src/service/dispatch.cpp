@@ -18,13 +18,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 // JobClaims
 // --------------------------------------------------------------------
 
-JobClaims::JobClaims(std::vector<std::string> tenants, int tenant_max_jobs)
+JobClaims::JobClaims(std::vector<std::string> tenants, int tenant_max_jobs,
+                     int max_running)
     : tenants_(std::move(tenants)),
       quota_(tenant_max_jobs),
+      max_running_(max_running),
       claimed_(tenants_.size(), false) {}
 
 std::size_t JobClaims::try_claim() {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (max_running_ > 0 && running_ >= max_running_) return kNoJob;
   for (std::size_t i = 0; i < claimed_.size(); ++i) {
     if (claimed_[i]) continue;
     int& running = tenant_running_[tenants_[i]];
@@ -33,6 +36,7 @@ std::size_t JobClaims::try_claim() {
     }
     claimed_[i] = true;
     ++running;
+    ++running_;
     peak_tenant_ = peak_tenant_ < running ? running : peak_tenant_;
     return i;
   }
@@ -43,6 +47,7 @@ void JobClaims::finished(std::size_t job) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --tenant_running_[tenants_[job]];
+    --running_;
   }
   completed_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -129,8 +134,9 @@ std::vector<ParkQueue::Resumed> ParkQueue::sweep_locked(CapacityPool& pool) {
 // ShardedDispatcher
 // --------------------------------------------------------------------
 
-ShardedDispatcher::ShardedDispatcher(std::size_t lanes, JobClaims* claims)
-    : claims_(claims) {
+ShardedDispatcher::ShardedDispatcher(std::size_t lanes, JobClaims* claims,
+                                     std::function<bool()> before_idle)
+    : claims_(claims), before_idle_(std::move(before_idle)) {
   lanes_.reserve(lanes == 0 ? 1 : lanes);
   for (std::size_t i = 0; i < (lanes == 0 ? 1 : lanes); ++i) {
     lanes_.push_back(std::make_unique<Lane>());
@@ -171,6 +177,7 @@ std::size_t ShardedDispatcher::next_job(std::size_t lane) {
       const std::size_t fresh = claims_->try_claim();
       if (fresh != kNoJob) return fresh;
     }
+    if (before_idle_ && before_idle_()) continue;
     // 4. Idle. The generation counter closes the scan-to-park window:
     // anything enqueued or finished after `gen` was captured bumps it,
     // so the wait predicate sees the change even if the notify fired

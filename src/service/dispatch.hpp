@@ -56,7 +56,9 @@ inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 class JobClaims {
  public:
   /// `tenants[i]` is job i's tenant; `tenant_max_jobs` <= 0 = unlimited.
-  JobClaims(std::vector<std::string> tenants, int tenant_max_jobs);
+  /// `max_running` > 0 caps the jobs running at once across all tenants.
+  JobClaims(std::vector<std::string> tenants, int tenant_max_jobs,
+            int max_running = 0);
 
   /// Claims the lowest-index unclaimed job whose tenant is under quota
   /// and counts it running; kNoJob when every unclaimed job is
@@ -80,7 +82,9 @@ class JobClaims {
  private:
   const std::vector<std::string> tenants_;
   const int quota_;
+  const int max_running_;
   mutable std::mutex mutex_;
+  int running_ = 0;
   std::vector<bool> claimed_;
   std::unordered_map<std::string, int> tenant_running_;
   int peak_tenant_ = 0;
@@ -179,7 +183,11 @@ class ParkQueue {
 /// queued(). Fresh jobs come from the shared JobClaims.
 class ShardedDispatcher {
  public:
-  ShardedDispatcher(std::size_t lanes, JobClaims* claims);
+  /// `before_idle`, when set, runs before a lane with nothing to do goes
+  /// idle; returning true (it may have made work runnable) rescans
+  /// instead. A durable batch commits its staged log records there.
+  ShardedDispatcher(std::size_t lanes, JobClaims* claims,
+                    std::function<bool()> before_idle = {});
 
   /// Blocks until a session is runnable on `lane` (its own queue, a
   /// steal, or a fresh claim) or the batch is done (returns kNoJob).
@@ -230,6 +238,7 @@ class ShardedDispatcher {
   // unique_ptr elements: Lane is neither movable nor copyable.
   std::vector<std::unique_ptr<Lane>> lanes_;
   JobClaims* claims_;
+  std::function<bool()> before_idle_;
 
   /// Total sessions across all lane queues. seq_cst: pairs with the
   /// pre-park re-check (an enqueuer bumps this before it reads

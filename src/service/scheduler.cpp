@@ -30,6 +30,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Jobs a durable batch keeps running per lane. A session parked on the
+/// commit fence is what fills the next commit round, so a lane claims
+/// fresh jobs while its sessions wait; but each running job pins a
+/// prepared search (about 12 KB before its trace grows), so the count is
+/// capped. At 4, a 4-lane batch groups about eight records per commit;
+/// doubling the cap groups about fourteen for about 0.2 MB more peak
+/// memory.
+constexpr int kLoggedSessionsPerLane = 4;
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -59,90 +68,27 @@ SloBreach slo_breach(const SloPolicy& slo,
 // Durable batches (--journal-dir)
 // --------------------------------------------------------------------
 
-/// How one job of a durable batch starts, decided from the manifest
-/// before any lane runs: fresh (create its journal), resumed (continue
-/// an in-flight journal), or replayed (re-materialize a finished report
-/// from its journal with zero probes re-executed).
+/// How one job of a durable batch starts, decided from the batch log
+/// before any lane runs: fresh (log an assigned record and run), resumed
+/// (replay its logged probes, then continue live), or replayed
+/// (re-materialize a finished report from its logged probes with zero
+/// probes re-executed).
 struct DurablePlan {
-  /// Full path of the job's auto-managed run journal.
-  std::string journal_file;
-  /// Request wiring: true sets journal_path (create/truncate), false
-  /// sets resume_path (replay + continue).
-  bool fresh_create = true;
   bool resumed = false;
   bool replayed = false;
-  /// The manifest's finished-record digest; a replayed report that
-  /// hashes differently diverged and is refused (kReplayDiverged).
+  /// Where the job's logged probe records sit in the log; they are read
+  /// when the job starts.
+  std::vector<journal::RecordSpan> replay;
+  /// The search the log's assigned record describes; a resumed or
+  /// replayed job whose own header differs is refused (kHeaderMismatch).
+  journal::JournalHeader header;
+  /// The finished record's digest; a replayed report that hashes
+  /// differently diverged and is refused (kReplayDiverged).
   std::uint64_t expected_digest = 0;
 };
 
-/// The batch manifest plus the batch-level write-failure policy.
-/// append() never throws: a write failure latches the first error,
-/// stops all further manifest writes (both policies — a half-written
-/// manifest must not keep growing), and Scheduler::run settles the
-/// policy after the fleet drains: kAbort rethrows it as a typed
-/// JournalError, kDegrade flags the report and carries on. Either way
-/// no in-memory job state is touched.
-class ManifestHandle {
- public:
-  /// `initial_error` non-empty latches the handle immediately: the
-  /// manifest failed to even be created under the degrade policy, so
-  /// `manifest` is null and every append is a no-op.
-  ManifestHandle(std::unique_ptr<BatchJournal> manifest,
-                 journal::OnError on_error,
-                 std::string initial_error = {})
-      : manifest_(std::move(manifest)),
-        on_error_(on_error),
-        error_(std::move(initial_error)) {}
-
-  void append(const BatchJobRecord& record) noexcept {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_.empty() || manifest_ == nullptr) return;
-    }
-    try {
-      manifest_->append(record);
-    } catch (const journal::JournalError& e) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (error_.empty()) error_ = e.what();
-    } catch (const std::exception& e) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (error_.empty()) error_ = e.what();
-    }
-  }
-
-  journal::OnError on_error() const noexcept { return on_error_; }
-
-  /// First write error, empty while the manifest is healthy.
-  std::string error() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return error_;
-  }
-
- private:
-  std::unique_ptr<BatchJournal> manifest_;
-  journal::OnError on_error_;
-  mutable std::mutex mutex_;
-  std::string error_;
-};
-
-/// Basename of job i's auto-managed journal: stable across resumes
-/// (index + sanitized name), so a resumed process derives the same path
-/// without trusting manifest contents.
-std::string job_journal_name(std::size_t i, const std::string& name) {
-  std::string safe;
-  safe.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                    c == '-';
-    safe.push_back(ok ? c : '_');
-  }
-  return "job-" + std::to_string(i) + "-" + safe + ".mlcdj";
-}
-
 /// Refuses a resume whose workload or capacity/quota configuration does
-/// not fingerprint-match the manifest: it describes a different batch.
+/// not fingerprint-match the log: it describes a different batch.
 void verify_manifest_header(const BatchManifestHeader& recorded,
                             const BatchManifestHeader& expected,
                             const std::string& path) {
@@ -161,126 +107,116 @@ void verify_manifest_header(const BatchManifestHeader& recorded,
   if (!diff.empty()) {
     throw journal::JournalError(
         journal::JournalErrorCode::kHeaderMismatch,
-        "batch manifest '" + path + "' records a different batch: " + diff +
+        "batch log '" + path + "' records a different batch: " + diff +
             " differs");
   }
 }
 
-/// Plans a durable batch: verifies no job claims its own journal,
-/// creates/resumes the manifest, decides each job's recovery path, and
-/// rewrites the workload copy `durable` with the auto-managed journal
-/// wiring. Throws journal::JournalError for every manifest-read problem
-/// (resume-side read failures refuse regardless of policy) and
-/// std::invalid_argument for admission conflicts.
-std::vector<DurablePlan> plan_durable_batch(
-    const Workload& workload, const SchedulerOptions& options,
-    Workload& durable, std::unique_ptr<BatchJournal>& manifest,
-    std::string& create_error) {
+/// Creates `dir` (and its parents) and fsyncs the parent of each
+/// directory it created, so the log's directory entry survives a power
+/// loss along with the log. Throws journal::JournalError(kIo).
+void create_journal_dir(const std::string& dir) {
   namespace fs = std::filesystem;
+  const fs::path path = fs::path(dir).lexically_normal();
+  std::vector<fs::path> created;
+  std::error_code ec;
+  for (fs::path at = path; !at.empty() && !fs::exists(at, ec);
+       at = at.parent_path()) {
+    created.push_back(at);
+    if (at == at.parent_path()) break;
+  }
+  fs::create_directories(path, ec);
+  if (ec) {
+    throw journal::JournalError(
+        journal::JournalErrorCode::kIo,
+        "cannot create journal dir '" + dir + "' (" + ec.message() + ")");
+  }
+  for (const fs::path& made : created) {
+    const fs::path parent = made.parent_path();
+    journal::fsync_directory(parent.empty() ? "." : parent.string());
+  }
+}
+
+/// Plans a durable batch: verifies no job claims its own journal,
+/// creates or reopens the batch log, and decides each job's recovery
+/// path in one streaming pass over the log. Throws journal::JournalError
+/// for every log-read problem (resume-side read failures refuse
+/// regardless of policy) and for creation failures under the abort
+/// policy, std::invalid_argument for admission conflicts. Under the
+/// degrade policy a log that cannot be created comes back failed: the
+/// batch runs log-less.
+std::vector<DurablePlan> plan_durable_batch(const Workload& workload,
+                                            const SchedulerOptions& options,
+                                            std::unique_ptr<BatchLog>& log) {
   for (const JobSpec& spec : workload.jobs) {
     if (!spec.request.journal_path.empty() ||
         !spec.request.resume_path.empty() ||
         !spec.request.replay_records.empty()) {
       throw std::invalid_argument(
           "Scheduler: admission refused — job '" + spec.name +
-          "' declares its own journal/resume, but --journal-dir manages "
-          "every per-job journal");
+          "' declares its own journal/resume, but --journal-dir logs "
+          "every job");
     }
   }
-  std::error_code ec;
-  fs::create_directories(options.journal_dir, ec);
-  if (ec) {
-    journal::JournalError error(
-        journal::JournalErrorCode::kIo,
-        "cannot create journal dir '" + options.journal_dir + "' (" +
-            ec.message() + ")");
-    // Resume cannot proceed without reading the manifest, and abort
-    // surfaces the failure before any probe spends. Degrade runs the
-    // batch journal-less: each job's own journal create will fail and
-    // degrade the same way, so the batch still completes correctly.
-    if (options.resume ||
-        options.journal_on_error == journal::OnError::kAbort) {
-      throw error;
-    }
-    create_error = error.what();
-  }
-
   const std::size_t n = workload.jobs.size();
-  const std::string manifest_path = options.journal_dir + "/batch.mlcdb";
+  const std::string path = options.journal_dir + "/batch.mlcdb";
   const BatchManifestHeader header = make_manifest_header(
       workload, options.capacity_nodes, options.tenant_max_jobs);
   std::vector<DurablePlan> plans(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    plans[i].journal_file = options.journal_dir + "/" +
-                            job_journal_name(i, workload.jobs[i].name);
-  }
 
   if (options.resume) {
-    const BatchManifestContents contents = read_manifest(manifest_path);
-    verify_manifest_header(contents.header, header, manifest_path);
+    BatchManifestContents contents = read_manifest(path);
+    verify_manifest_header(contents.header, header, path);
     int replays = 0;
     int resumes = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const BatchJobState& state = contents.jobs[i];
-      const bool have_file = fs::exists(plans[i].journal_file);
-      if (state.finished && state.ok && have_file) {
-        // Finished before the kill: replay the whole report from the
-        // per-job journal, bit-identically and probe-free, then verify
-        // it against the manifest digest.
-        plans[i].fresh_create = false;
-        plans[i].replayed = true;
-        plans[i].expected_digest = state.report_digest;
+      BatchJobState& state = contents.jobs[i];
+      DurablePlan& plan = plans[i];
+      if (state.finished && state.ok) {
+        // Finished before the kill: replay the whole report from its
+        // logged probes, bit-identically and probe-free, then verify it
+        // against the finished record's digest.
+        plan.replayed = true;
+        plan.expected_digest = state.report_digest;
         ++replays;
-      } else if (state.assigned && have_file) {
-        // In flight when the process died: replay the journaled prefix
-        // and execute the rest live, continuing the same journal.
-        plans[i].fresh_create = false;
-        plans[i].resumed = true;
+      } else if (!state.finished && !state.probe_spans.empty()) {
+        // In flight when the process died: replay the logged prefix and
+        // execute the rest live, logging on.
+        plan.resumed = true;
         ++resumes;
+      } else {
+        // Never started, finished-but-failed (failures are
+        // deterministic), or assigned with no probe record yet: run
+        // fresh under a new assigned record.
+        continue;
       }
-      // Everything else — never started, finished-but-failed (failures
-      // are deterministic), or a journal file lost from disk — runs
-      // fresh, re-creating its journal.
+      plan.replay = std::move(state.probe_spans);
+      plan.header = state.header;
     }
-    manifest = BatchJournal::append_to(manifest_path, contents.valid_bytes);
+    log = BatchLog::append_to(path, contents.valid_bytes);
     MLCD_LOG(kInfo, "service")
-        << "resuming batch from " << manifest_path << ": " << replays
+        << "resuming batch from " << path << ": " << replays
         << " finished reports to replay, " << resumes
         << " in-flight jobs to resume, "
         << (n - static_cast<std::size_t>(replays + resumes))
         << " to run fresh"
-        << (contents.truncated_tail ? " (torn manifest tail dropped)" : "");
-  } else if (create_error.empty()) {
-    try {
-      manifest = BatchJournal::create(manifest_path, header);
-      // Write-ahead: the whole fleet is journaled as admitted before any
-      // probe runs, so a kill during job 0 still knows the batch roster.
-      for (std::size_t i = 0; i < n; ++i) {
-        BatchJobRecord record;
-        record.phase = BatchJobPhase::kAdmitted;
-        record.job = static_cast<int>(i);
-        record.name = workload.jobs[i].name;
-        manifest->append(record);
-      }
-    } catch (const journal::JournalError& e) {
-      // Write failures obey the batch policy even this early: degrade
-      // runs the batch manifest-less (per-job journals may still work),
-      // abort surfaces the typed error before any probe spends.
-      if (options.journal_on_error == journal::OnError::kAbort) throw;
-      manifest.reset();
-      create_error = e.what();
-    }
+        << (contents.truncated_tail ? " (torn log tail dropped)" : "");
+    return plans;
   }
 
-  durable = workload;
-  for (std::size_t i = 0; i < n; ++i) {
-    system::JobRequest& request = durable.jobs[i].request;
-    request.journal_on_error = options.journal_on_error;
-    if (plans[i].fresh_create) {
-      request.journal_path = plans[i].journal_file;
-    } else {
-      request.resume_path = plans[i].journal_file;
-    }
+  try {
+    create_journal_dir(options.journal_dir);
+    std::vector<std::string> roster;
+    roster.reserve(n);
+    for (const JobSpec& spec : workload.jobs) roster.push_back(spec.name);
+    log = BatchLog::create(path, header, roster);
+  } catch (const journal::JournalError& e) {
+    // Write failures obey the batch policy even this early: abort
+    // surfaces the typed error before any probe spends; degrade runs
+    // the batch log-less, every job's session degrading at its first
+    // probe record.
+    if (options.journal_on_error == journal::OnError::kAbort) throw;
+    log = BatchLog::failed(path, e.what());
   }
   return plans;
 }
@@ -386,34 +322,45 @@ class StagedGate final : public profiler::ProbeGate {
 /// queue. So a parked session is always eventually restaged, and a
 /// restaged (enqueued) session is always eventually picked up by a
 /// lane: no deadlock, and parked sessions resume in strict FIFO order.
+/// A durable batch adds the commit fence (see fenced_step): a session
+/// parks there only after staging its record, and the parking lane then
+/// commits unless a round is already in flight — whose committer
+/// re-checks for staged records before it stops — so every fenced
+/// session is restaged by a commit that covers its record.
 class ProbeBatch {
  public:
-  /// `manifest` / `plans` are both null for a non-durable batch; for a
+  /// `log` / `plans` are both null for a non-durable batch; for a
   /// durable one `plans` holds one entry per workload job.
   ProbeBatch(const system::Mlcd& mlcd, const SchedulerOptions& options,
              const Workload& workload, BatchReport& report,
              ProbeCache* cache, CapacityPool& capacity,
-             Clock::time_point batch_start,
-             ManifestHandle* manifest = nullptr,
-             const std::vector<DurablePlan>* plans = nullptr)
+             Clock::time_point batch_start, BatchLog* log = nullptr,
+             std::vector<DurablePlan>* plans = nullptr)
       : mlcd_(&mlcd),
         workload_(&workload),
         report_(&report),
         cache_(cache),
         capacity_(&capacity),
-        manifest_(manifest),
+        log_(log),
         plans_(plans),
+        on_error_(options.journal_on_error),
         batch_start_(batch_start),
         lane_count_(std::min<std::size_t>(
             static_cast<std::size_t>(options.threads),
             workload.jobs.size())),
-        claims_(tenants_of(workload), options.tenant_max_jobs),
-        dispatcher_(lane_count_, &claims_),
+        claims_(tenants_of(workload), options.tenant_max_jobs,
+                log == nullptr ? 0
+                               : static_cast<int>(lane_count_) *
+                                     kLoggedSessionsPerLane),
+        dispatcher_(lane_count_, &claims_,
+                    log == nullptr ? std::function<bool()>()
+                                   : [this] { return pump_log(); }),
         states_(workload.jobs.size()) {
     if (workload.chaos.enabled()) chaos_.emplace(workload.chaos);
     for (std::size_t i = 0; i < states_.size(); ++i) {
       states_[i].gate.bind(this, cache_, &report_->jobs[i].stats);
       states_[i].chaos_key = ChaosInjector::job_key(workload.jobs[i].name);
+      if (log_ != nullptr) states_[i].sink.bind(log_, static_cast<int>(i));
     }
   }
 
@@ -432,6 +379,26 @@ class ProbeBatch {
   }
 
   int peak_tenant() const { return claims_.peak_tenant(); }
+
+  /// Durable batches under the abort policy, once the lanes drained:
+  /// fails typed every job with a record the failed log lost — staged
+  /// into a failed commit, or refused after it — unless it already
+  /// failed, so no result the log lost is reported as a success.
+  void fail_lost_jobs() {
+    const std::string error = log_->error();
+    for (const int job : log_->lost_jobs()) {
+      const std::size_t i = static_cast<std::size_t>(job);
+      if (!report_->jobs[i].error_code.empty()) continue;
+      fail_journaled(i, journal::JournalError(
+                            journal::JournalErrorCode::kIo,
+                            "batch log lost this job's records (" + error +
+                                ")"));
+      MLCD_LOG(kWarn, "service")
+          << "job '" << workload_->jobs[i].name << "' failed ["
+          << report_->jobs[i].error_code
+          << "]: " << report_->jobs[i].error_message;
+    }
+  }
   std::int64_t steals() const noexcept { return dispatcher_.steals(); }
 
   /// Returns a finished probe's nodes to the pool and restages every
@@ -473,6 +440,12 @@ class ProbeBatch {
     /// An injected spot revocation armed for the next capacity
     /// acquisition.
     bool pending_revocation = false;
+    /// Durable batches: the job's share of the batch log, and the record
+    /// image of a probe held on the commit fence (engaged from staging
+    /// until admission) with how its commit settled.
+    BatchLogSink sink;
+    std::optional<journal::ProbeRecord> fenced;
+    bool fence_failed = false;
   };
 
   static std::vector<std::string> tenants_of(const Workload& workload) {
@@ -519,23 +492,11 @@ class ProbeBatch {
       job.started = true;
       outcome.stats.queue_wait_seconds = seconds_since(batch_start_);
       job.job_start = Clock::now();
-      if (manifest_ != nullptr && plans_ != nullptr) {
-        const DurablePlan& plan = (*plans_)[i];
-        // Write-ahead: the assigned record lands *before* prepare()
-        // touches the per-job journal file, so a kill in between leaves
-        // an assigned-but-fileless job — which a resume simply reruns
-        // fresh. Resumed/replayed jobs are already assigned on disk.
-        if (!plan.resumed && !plan.replayed) {
-          BatchJobRecord record;
-          record.phase = BatchJobPhase::kAssigned;
-          record.job = static_cast<int>(i);
-          record.name = spec.name;
-          record.journal_file = plan.journal_file;
-          manifest_->append(record);
-        }
+      system::JobRequest request = job_request(i);
+      if (log_ != nullptr && !load_replay(i, request)) {
+        finish_job(i, segment_start);
+        return;
       }
-      system::JobRequest request = spec.request;
-      request.probe_gate = &job.gate;
       system::PrepareResult prepared = mlcd_->prepare(request);
       if (!prepared.ok()) {
         outcome.error_code = std::string(
@@ -545,10 +506,16 @@ class ProbeBatch {
         return;
       }
       job.prepared.emplace(std::move(prepared.job()));
+      if (log_ != nullptr && !log_start(i)) {
+        finish_job(i, segment_start);
+        return;
+      }
     }
 
     job.prepared->session().bind_driver(driver);
     try {
+      // Back from the commit fence: settle the held probe first.
+      if (job.fenced.has_value()) admit_fenced(i, !job.fence_failed);
       for (;;) {
         // Re-fetched each iteration: a lane-crash re-staging replaces
         // the prepared job (and with it the session object) in place.
@@ -630,7 +597,18 @@ class ProbeBatch {
             return;  // parked; the sweep will restage this session
           }
         }
-        if (job.pending_loss && !session.replaying()) {
+        if (log_ != nullptr && !session.replaying() &&
+            session.journal() != nullptr) {
+          // Every logged step already admits from its record image, so
+          // an injected result loss needs no recovery of its own.
+          if (job.pending_loss) {
+            job.pending_loss = false;
+            ++outcome.stats.probe_losses;
+          }
+          if (!fenced_step(i, driver, session, segment_start)) {
+            return;  // parked on the fence; a commit restages it
+          }
+        } else if (job.pending_loss && !session.replaying()) {
           // The probe executes and is journaled normally, but its
           // in-memory result envelope is lost before admission; the
           // write-ahead record image recovers it bit-identically —
@@ -683,30 +661,168 @@ class ProbeBatch {
           system::job_error_code_name(result.error().code));
       outcome.error_message = result.error().message;
     }
-    if (outcome.ok && plans_ != nullptr &&
-        (*plans_)[i].replayed) {
+    if (outcome.ok && plans_ != nullptr && (*plans_)[i].replayed &&
+        digest_run_report(outcome.report) != (*plans_)[i].expected_digest) {
       // Replay verification: the re-materialized report must hash to
-      // exactly what the manifest's finished record promised
-      // (kReplayDiverged otherwise) — the journal is not allowed to
-      // drift underneath a finished result.
-      const DurablePlan& plan = (*plans_)[i];
-      const std::uint64_t digest = digest_run_report(outcome.report);
-      if (digest != plan.expected_digest) {
-        outcome.ok = false;
-        outcome.report = system::RunReport{};
-        outcome.stats.low_fidelity_probes = 0;
-        outcome.stats.full_fidelity_probes = 0;
-        outcome.error_code = std::string(system::job_error_code_name(
-            system::JobErrorCode::kJournalError));
-        outcome.error_message =
-            journal::JournalError(
-                journal::JournalErrorCode::kReplayDiverged,
-                "journal '" + plan.journal_file +
-                    "' replayed a report that diverged from the batch "
-                    "manifest digest")
-                .what();
-      }
+      // exactly what the finished record promised (kReplayDiverged
+      // otherwise) — the log is not allowed to drift underneath a
+      // finished result.
+      fail_journaled(i, journal::JournalError(
+                            journal::JournalErrorCode::kReplayDiverged,
+                            "batch log '" + log_->path() +
+                                "' replayed a report for job '" +
+                                workload_->jobs[i].name +
+                                "' that diverged from its finished "
+                                "record's digest"));
     }
+  }
+
+  /// Records a typed journal failure as job i's outcome, dropping any
+  /// report it had.
+  void fail_journaled(std::size_t i, const journal::JournalError& error) {
+    JobOutcome& outcome = report_->jobs[i];
+    outcome.ok = false;
+    outcome.report = system::RunReport{};
+    outcome.stats.low_fidelity_probes = 0;
+    outcome.stats.full_fidelity_probes = 0;
+    outcome.error_code = std::string(
+        system::job_error_code_name(system::JobErrorCode::kJournalError));
+    outcome.error_message = error.what();
+  }
+
+  /// Job i's request as the scheduler runs it: the staged gate, and in a
+  /// durable batch the job's share of the batch log under the batch's
+  /// write-failure policy.
+  system::JobRequest job_request(std::size_t i) {
+    JobState& job = states_[i];
+    system::JobRequest request = workload_->jobs[i].request;
+    request.probe_gate = &job.gate;
+    if (log_ != nullptr) {
+      request.journal_sink = &job.sink;
+      request.journal_on_error = on_error_;
+    }
+    return request;
+  }
+
+  /// Durable batches: reads the probe records job i replays from the
+  /// log into `request`. Returns false with the typed error recorded
+  /// when they cannot be read back.
+  bool load_replay(std::size_t i, system::JobRequest& request) {
+    std::vector<journal::RecordSpan>& spans = (*plans_)[i].replay;
+    try {
+      request.replay_records = read_probe_records(log_->path(), spans);
+    } catch (const journal::JournalError& e) {
+      fail_journaled(i, e);
+      return false;
+    }
+    spans = {};
+    return true;
+  }
+
+  /// Durable batches, once job i is prepared: a resumed or replayed job
+  /// must still be the search its assigned record describes, and a
+  /// fresh one logs that record now — a lifecycle record, which never
+  /// waits on the fence (the job's first probe record commits it). A
+  /// record the failed log refuses is settled when the batch drains.
+  /// Returns false with the typed error recorded when the job must not
+  /// run.
+  bool log_start(std::size_t i) {
+    const DurablePlan& plan = (*plans_)[i];
+    const journal::JournalHeader& header =
+        states_[i].prepared->journal_header();
+    if (plan.resumed || plan.replayed) {
+      const std::string diff = journal::header_diff(plan.header, header);
+      if (diff.empty()) return true;
+      fail_journaled(i, journal::JournalError(
+                            journal::JournalErrorCode::kHeaderMismatch,
+                            "batch log '" + log_->path() +
+                                "' records a different search for job '" +
+                                workload_->jobs[i].name + "': " + diff +
+                                " differs"));
+      return false;
+    }
+    BatchJobRecord record;
+    record.phase = BatchJobPhase::kAssigned;
+    record.job = static_cast<int>(i);
+    record.name = workload_->jobs[i].name;
+    record.header = header;
+    log_->stage(record);
+    return true;
+  }
+
+  /// Durable batches: executes the pending probe, stages its record, and
+  /// holds the step on the commit fence — write-ahead: the probe is
+  /// admitted only once its record is durable. Returns false when the
+  /// session parked (it left this lane, whose accounting is settled);
+  /// true when it was admitted and the lane keeps driving.
+  bool fenced_step(std::size_t i, std::uint32_t driver,
+                   search::SearchSession& session,
+                   Clock::time_point segment_start) {
+    JobState& job = states_[i];
+    journal::ProbeRecord image =
+        search::ProbeDriver::step_losing_result(session);
+    const std::optional<std::uint64_t> lsn = job.sink.take_staged();
+    if (!lsn.has_value()) {
+      // Staging was refused and the session went journal-less (degrade
+      // policy): nothing to wait for.
+      search::ProbeDriver::admit_recovered(session, image);
+      return true;
+    }
+    job.fenced.emplace(std::move(image));
+    JobStats& stats = report_->jobs[i].stats;
+    const auto on_park = [&]() {
+      stats.lane_busy_seconds += seconds_since(segment_start);
+      session.release_driver(driver);
+    };
+    switch (log_->park(*lsn, BatchLog::Waiter{i, driver, false}, on_park)) {
+      case BatchLog::Fence::kDurable:
+        admit_fenced(i, true);
+        return true;
+      case BatchLog::Fence::kFailed:
+        admit_fenced(i, false);
+        return true;
+      case BatchLog::Fence::kParked:
+        break;
+    }
+    pump_log();
+    return false;
+  }
+
+  /// Admits job i's fenced probe once its commit settled. A failed
+  /// commit may have lost the record: under abort the job fails typed
+  /// and the probe is never admitted; under degrade the session goes
+  /// journal-less and the probe is admitted as usual.
+  void admit_fenced(std::size_t i, bool durable) {
+    JobState& job = states_[i];
+    search::SearchSession& session = job.prepared->session();
+    const journal::ProbeRecord image = std::move(*job.fenced);
+    job.fenced.reset();
+    if (!durable) {
+      const journal::JournalError error(
+          journal::JournalErrorCode::kIo,
+          "the batch log commit holding this probe's record failed (" +
+              log_->error() + ")");
+      if (on_error_ == journal::OnError::kAbort) throw error;
+      session.degrade_journal(error.what());
+    }
+    search::ProbeDriver::admit_recovered(session, image);
+  }
+
+  /// Runs commit rounds while staged records wait and no other round is
+  /// in flight, restaging every fenced session each round settles.
+  /// Returns true when at least one round ran.
+  bool pump_log() {
+    bool ran = false;
+    std::vector<BatchLog::Waiter> released;
+    while (log_->commit(released)) {
+      ran = true;
+      for (const BatchLog::Waiter& waiter : released) {
+        states_[waiter.job].fence_failed = !waiter.durable;
+        dispatcher_.enqueue(waiter.job, waiter.lane);
+      }
+      released.clear();
+    }
+    return ran;
   }
 
   /// Hands a live session back into circulation (chaos crash / stall
@@ -786,15 +902,15 @@ class ProbeBatch {
   /// and replayed through a fresh PreparedJob — billing, clock, and
   /// every seeded stream advance exactly as the original — so the
   /// re-staged session continues bit-identically with zero re-executed
-  /// probes. Journaled jobs re-stage through their own WAL file (the
-  /// same path a process crash would resume from). Returns false with
-  /// the typed error recorded when re-preparation fails.
+  /// probes. Jobs declaring their own journal re-stage through that WAL
+  /// file (the same path a process crash would resume from); a durable
+  /// batch's jobs replay their in-memory trace, whose records the batch
+  /// log already holds. Returns false with the typed error recorded when
+  /// re-preparation fails.
   bool restage_crashed(std::size_t i) {
     JobState& job = states_[i];
-    const JobSpec& spec = workload_->jobs[i];
     JobOutcome& outcome = report_->jobs[i];
-    system::JobRequest request = spec.request;
-    request.probe_gate = &job.gate;
+    system::JobRequest request = job_request(i);
     if (!request.journal_path.empty() || !request.resume_path.empty()) {
       request.resume_path = !request.journal_path.empty()
                                 ? request.journal_path
@@ -826,17 +942,15 @@ class ProbeBatch {
     outcome.stats.run_seconds = seconds_since(job.job_start);
     job.prepared.reset();  // release the session before the lane moves on
                            // (and close its journal writer first)
-    if (manifest_ != nullptr && plans_ != nullptr &&
-        !(*plans_)[i].replayed) {
-      // Durably record the outcome *after* the per-job journal writer
-      // closed, so a kill from here on replays the finished report
-      // instead of re-running anything. Replayed jobs already carry
-      // their finished record.
+    if (log_ != nullptr && !(*plans_)[i].replayed) {
+      // Logged after every probe record of the job, so once durable a
+      // kill from here on replays the finished report instead of
+      // re-running anything. A lifecycle record: it rides the next
+      // commit. Replayed jobs already carry their finished record.
       BatchJobRecord record;
       record.phase = BatchJobPhase::kFinished;
       record.job = static_cast<int>(i);
       record.name = workload_->jobs[i].name;
-      record.journal_file = (*plans_)[i].journal_file;
       record.ok = outcome.ok;
       record.outcome =
           outcome.ok ? (outcome.slo != SloBreach::kNone
@@ -845,7 +959,7 @@ class ProbeBatch {
                      : outcome.error_code;
       record.report_digest =
           outcome.ok ? digest_run_report(outcome.report) : 0;
-      manifest_->append(record);
+      log_->stage(record);
     }
     if (!outcome.ok) {
       MLCD_LOG(kWarn, "service")
@@ -861,8 +975,9 @@ class ProbeBatch {
   BatchReport* report_;
   ProbeCache* cache_;
   CapacityPool* capacity_;
-  ManifestHandle* manifest_;              ///< null: batch not durable
-  const std::vector<DurablePlan>* plans_; ///< null: batch not durable
+  BatchLog* log_;                    ///< null: batch not durable
+  std::vector<DurablePlan>* plans_;  ///< null: batch not durable
+  const journal::OnError on_error_;
   const Clock::time_point batch_start_;
   const std::size_t lane_count_;
 
@@ -940,21 +1055,12 @@ BatchReport Scheduler::run(const Workload& workload) const {
         "resume from lives there)");
   }
 
-  // Durable batches: plan every job's recovery path from the manifest
-  // (or write a fresh one) before any lane runs, and swap in the
-  // workload copy carrying the auto-managed journal wiring.
-  std::unique_ptr<BatchJournal> manifest;
-  std::optional<ManifestHandle> manifest_handle;
+  // Durable batches: plan every job's recovery path from the batch log
+  // (or create a fresh one) before any lane runs.
+  std::unique_ptr<BatchLog> log;
   std::vector<DurablePlan> plans;
-  Workload durable;
-  const Workload* active = &workload;
   if (!options_.journal_dir.empty()) {
-    std::string create_error;
-    plans = plan_durable_batch(workload, options_, durable, manifest,
-                               create_error);
-    manifest_handle.emplace(std::move(manifest), options_.journal_on_error,
-                            std::move(create_error));
-    active = &durable;
+    plans = plan_durable_batch(workload, options_, log);
   }
 
   BatchReport report;
@@ -977,29 +1083,31 @@ BatchReport Scheduler::run(const Workload& workload) const {
   CapacityPool capacity(options_.capacity_nodes);
 
   const Clock::time_point batch_start = Clock::now();
-  ProbeBatch batch(*mlcd_, options_, *active, report, shared_cache,
-                   capacity, batch_start,
-                   manifest_handle ? &*manifest_handle : nullptr,
+  ProbeBatch batch(*mlcd_, options_, workload, report, shared_cache,
+                   capacity, batch_start, log.get(),
                    plans.empty() ? nullptr : &plans);
   batch.run();
 
-  // Settle the manifest write-failure policy only after every lane
-  // drained: no in-memory job state depends on the manifest, so all
-  // results above are complete and correct either way.
-  if (manifest_handle.has_value()) {
-    const std::string manifest_error = manifest_handle->error();
-    if (!manifest_error.empty()) {
+  if (log != nullptr) {
+    // Finished records the lanes staged after the last commit round.
+    log->flush();
+    report.log_commits = log->commits();
+    report.log_records = log->records();
+    // Settle the write-failure policy once every lane drained. Under
+    // degrade every result stands; the batch is just no longer
+    // kill-resumable.
+    const std::string log_error = log->error();
+    if (!log_error.empty()) {
       if (options_.journal_on_error == journal::OnError::kAbort) {
-        throw journal::JournalError(
-            journal::JournalErrorCode::kIo,
-            "batch manifest append failed: " + manifest_error);
+        batch.fail_lost_jobs();
+      } else {
+        report.batch_journal_degraded = true;
+        report.batch_journal_degrade_reason = log_error;
+        MLCD_LOG(kWarn, "service")
+            << "batch log write failed (" << log_error
+            << "); continuing without it — this batch is no longer "
+               "kill-resumable";
       }
-      report.batch_journal_degraded = true;
-      report.batch_journal_degrade_reason = manifest_error;
-      MLCD_LOG(kWarn, "service")
-          << "batch manifest write failed (" << manifest_error
-          << "); continuing without a manifest — this batch is no "
-             "longer kill-resumable";
     }
   }
 

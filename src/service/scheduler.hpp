@@ -71,23 +71,26 @@ struct SchedulerOptions {
   /// between lanes publishing/looking up different probes; the report's
   /// probe_cache.stripe_max_imbalance shows how evenly keys spread.
   int cache_stripes = 0;
-  /// Non-empty makes the batch durable: the scheduler writes a
-  /// write-ahead manifest (`batch.mlcdb`) plus one auto-managed run
-  /// journal per job under this directory (created if missing), so a
-  /// killed `mlcd batch` process can be resumed. Jobs declaring their
-  /// own journal/resume paths are refused at admission (the directory
-  /// owns every journal). See docs/crash-safety.md.
+  /// Non-empty makes the batch durable: the scheduler writes one
+  /// group-committed write-ahead log, `batch.mlcdb`, under this directory
+  /// (created if missing) — the roster, each job's lifecycle, and every
+  /// probe record, a probe admitted only once its record is durable — so
+  /// a killed `mlcd batch` process can be resumed. Jobs declaring their
+  /// own journal/resume paths are refused at admission (the log owns
+  /// every job's durability). See docs/crash-safety.md.
   std::string journal_dir;
-  /// With journal_dir: resume the batch recorded in the manifest instead
-  /// of starting fresh. Finished jobs replay their per-job journals
+  /// With journal_dir: resume the batch recorded in the log instead of
+  /// starting fresh. Finished jobs replay their logged probes
   /// bit-identically (zero probes re-executed, digest-verified);
-  /// in-flight jobs resume; never-started jobs run fresh.
+  /// in-flight jobs replay their prefix and continue; jobs with no
+  /// probe record run fresh.
   bool resume = false;
-  /// What a *write* failure of the manifest or a per-job journal does:
-  /// kAbort (default) surfaces a typed journal::JournalError, kDegrade
-  /// continues journal-less with a reported warning (results stay
-  /// correct; the batch is just no longer kill-resumable). Resume-side
-  /// *read* failures always refuse regardless of policy.
+  /// What a *write* failure of the batch log does: kAbort (default)
+  /// fails every job whose records the log lost with a typed
+  /// journal_error, kDegrade continues log-less with a reported warning
+  /// (results stay correct; the batch is just no longer kill-resumable).
+  /// Either way the log accepts nothing after its first failure.
+  /// Resume-side *read* failures always refuse regardless of policy.
   journal::OnError journal_on_error = journal::OnError::kAbort;
 };
 
@@ -103,8 +106,8 @@ class Scheduler {
   /// job's max_nodes exceeds capacity_nodes). Per-job failures (unknown
   /// model/method, journal errors) do not abort the batch — they come
   /// back as failed JobOutcomes. With journal_dir, batch-level journal
-  /// failures (unreadable/mismatched manifest on resume; manifest write
-  /// failure under the abort policy) throw journal::JournalError.
+  /// failures (unreadable/mismatched log on resume; a log that cannot
+  /// be created under the abort policy) throw journal::JournalError.
   BatchReport run(const Workload& workload) const;
 
   const SchedulerOptions& options() const noexcept { return options_; }

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -209,7 +210,7 @@ JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
   return v;
 }
 
-JsonValue JsonValue::make_object(std::map<std::string, JsonValue> members) {
+JsonValue JsonValue::make_object(Object members) {
   JsonValue v;
   v.kind_ = Kind::kObject;
   v.object_ = std::move(members);
@@ -244,19 +245,19 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return array_;
 }
 
-const std::map<std::string, JsonValue>& JsonValue::as_object() const {
+const JsonValue::Object& JsonValue::as_object() const {
   if (!is_object()) kind_error("object");
   return object_;
 }
 
 bool JsonValue::contains(std::string_view name) const {
   if (!is_object()) kind_error("object");
-  return object_.find(std::string(name)) != object_.end();
+  return object_.find(name) != object_.end();
 }
 
 const JsonValue& JsonValue::at(std::string_view name) const {
   if (!is_object()) kind_error("object");
-  const auto it = object_.find(std::string(name));
+  const auto it = object_.find(name);
   if (it == object_.end()) {
     throw std::out_of_range("JsonValue: no member \"" + std::string(name) +
                             "\"");
@@ -351,7 +352,7 @@ class JsonParser {
 
   JsonValue parse_object(int depth) {
     expect('{');
-    std::map<std::string, JsonValue> members;
+    JsonValue::Object members;
     skip_whitespace();
     if (peek() == '}') {
       ++pos_;
@@ -518,8 +519,15 @@ class JsonParser {
         ++pos_;
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    const double value = std::strtod(token.c_str(), nullptr);
+    // from_chars rounds exactly as strtod does, without the token copy
+    // or the locale lookup; out of range, strtod's answer stands (0 on
+    // underflow, inf on overflow).
+    const std::string_view token = text_.substr(start, pos_ - start);
+    double value = 0.0;
+    if (std::from_chars(token.data(), token.data() + token.size(), value)
+            .ec != std::errc{}) {
+      value = std::strtod(std::string(token).c_str(), nullptr);
+    }
     // A grammatically valid literal can still overflow the double range
     // ("1e999" parses to +inf); JSON has no representation for
     // non-finite numbers, so accepting one would round-trip as garbage.

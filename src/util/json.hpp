@@ -68,6 +68,9 @@ class JsonWriter {
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  /// Transparent ordering: members are looked up by string_view without
+  /// building a std::string key.
+  using Object = std::map<std::string, JsonValue, std::less<>>;
 
   JsonValue() = default;  // null
 
@@ -76,7 +79,7 @@ class JsonValue {
   static JsonValue make_number(double number);
   static JsonValue make_string(std::string text);
   static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(std::map<std::string, JsonValue> members);
+  static JsonValue make_object(Object members);
 
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
@@ -91,7 +94,7 @@ class JsonValue {
   double as_number() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
-  const std::map<std::string, JsonValue>& as_object() const;
+  const Object& as_object() const;
 
   /// Object member lookup; throws std::out_of_range when absent
   /// (`contains` probes first). Only valid on objects.
@@ -108,7 +111,7 @@ class JsonValue {
   double number_ = 0.0;
   std::string string_;
   std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
+  Object object_;
 };
 
 /// Parses a complete JSON document. Throws std::invalid_argument with a

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -592,7 +593,7 @@ TEST(CliRun, BatchExitCodePrecedenceIsPinned) {
 TEST(CliRun, BatchDurableResumeReplaysBitIdentically) {
   // End-to-end through the CLI: run a durable batch, then resume the
   // (fully finished) batch — every report must come back replayed from
-  // the per-job journals, identical modulo resume bookkeeping.
+  // the batch log, identical modulo resume bookkeeping.
   const std::string workload = write_workload(
       "mlcd_cli_durable.json",
       R"({"jobs": [
@@ -610,9 +611,13 @@ TEST(CliRun, BatchDurableResumeReplaysBitIdentically) {
                    "--journal-dir", dir.c_str(), "--json"},
                   &first),
             0);
+  // One log holds the whole batch: no per-job journal file.
   ASSERT_TRUE(std::filesystem::exists(dir + "/batch.mlcdb"));
-  ASSERT_TRUE(std::filesystem::exists(dir + "/job-0-a.mlcdj"));
-  ASSERT_TRUE(std::filesystem::exists(dir + "/job-1-b.mlcdj"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-0-a.mlcdj"));
+  EXPECT_FALSE(std::filesystem::exists(dir + "/job-1-b.mlcdj"));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
 
   std::string second;
   ASSERT_EQ(drive({"batch", workload.c_str(), "--threads", "2",

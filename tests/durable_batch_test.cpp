@@ -1,12 +1,12 @@
-// Durable batch service tests: the write-ahead batch manifest
+// Durable batch service tests: the group-committed batch log
 // (round-trip, torn tail, typed corruption refusals), the workload /
 // report fingerprints replay verification rests on, storage-fault
 // injection under both --journal-on-error policies (run journals and
-// the batch manifest alike), in-process batch resume across every
-// manifest state a kill can leave behind, capacity-pool revocation
+// the batch log's commit fence alike), in-process batch resume across
+// every log state a kill can leave behind, capacity-pool revocation
 // edges, and the process-kill harness: SIGKILL the real `mlcd batch`
-// binary at a seeded sweep of points, resume, and assert the batch
-// comes back bit-identical. See docs/crash-safety.md.
+// binary at a sweep of points across the batch, resume, and assert the
+// batch comes back bit-identical. See docs/crash-safety.md.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -96,7 +96,7 @@ journal::IoFaultInjector::Options fail_at(long long index,
 }
 
 /// The two-job fleet every durable test runs: small, fast, and with two
-/// different methods so the per-job journals differ.
+/// different methods so the jobs' logged probes differ.
 Workload durable_fleet() {
   return parse_workload(R"({
     "jobs": [
@@ -108,11 +108,75 @@ Workload durable_fleet() {
   })");
 }
 
+/// `count` jobs with distinct seeds, alternating methods and tenants.
+Workload wide_fleet(int count) {
+  Workload workload;
+  const Workload base = durable_fleet();
+  for (int i = 0; i < count; ++i) {
+    JobSpec spec = base.jobs[static_cast<std::size_t>(i % 2)];
+    spec.name = "j" + std::to_string(i);
+    spec.tenant = "t" + std::to_string(i % 3);
+    spec.request.seed = 100 + static_cast<std::uint64_t>(i);
+    workload.jobs.push_back(std::move(spec));
+  }
+  return workload;
+}
+
 SchedulerOptions durable_options(const std::string& dir) {
   SchedulerOptions options;
-  options.threads = 1;  // deterministic global append order
+  options.threads = 1;  // deterministic global staging order
   options.journal_dir = dir;
   return options;
+}
+
+/// Stages `records` into a fresh log at `path` (roster: `roster`) and
+/// commits them.
+void write_log(const std::string& path, const BatchManifestHeader& header,
+               const std::vector<std::string>& roster,
+               const std::vector<BatchJobRecord>& records = {}) {
+  std::unique_ptr<BatchLog> log = BatchLog::create(path, header, roster);
+  for (const BatchJobRecord& record : records) log->stage(record);
+  log->flush();
+}
+
+/// A job's journal header as a resume would compare it.
+journal::JournalHeader sample_job_header() {
+  journal::JournalHeader header;
+  header.method = "heterbo";
+  header.model = "resnet";
+  header.platform = "tensorflow";
+  header.seed = 7;
+  header.max_nodes = 8;
+  header.catalog_hash = 0x1234;
+  return header;
+}
+
+/// The probe records the log at `path` holds for job `job`, read back
+/// the way a resume reads them.
+std::vector<journal::ProbeRecord> logged_probes(const std::string& path,
+                                                std::size_t job) {
+  return read_probe_records(path, read_manifest(path).jobs[job].probe_spans);
+}
+
+BatchJobRecord assigned_record(int job, const std::string& name) {
+  BatchJobRecord record;
+  record.phase = BatchJobPhase::kAssigned;
+  record.job = job;
+  record.name = name;
+  record.header = sample_job_header();
+  return record;
+}
+
+journal::ProbeRecord sample_probe(int nodes) {
+  journal::ProbeRecord probe;
+  probe.type_index = 3;
+  probe.nodes = nodes;
+  probe.feasible = true;
+  probe.measured_speed = 0.1 + 0.2;
+  probe.cum_profile_cost = 1.0 / 3.0;
+  probe.reason = "tei \"quoted\"";
+  probe.attempt_log = {{1, 0.05, 0.25, 0.031}};
+  return probe;
 }
 
 BatchManifestHeader sample_batch_header() {
@@ -131,32 +195,23 @@ TEST(BatchManifest, RoundTripsJobLifecycle) {
   const std::string path = temp_path("roundtrip.mlcdb");
   const BatchManifestHeader header = sample_batch_header();
   {
-    std::unique_ptr<BatchJournal> manifest =
-        BatchJournal::create(path, header);
-    BatchJobRecord admitted;
-    admitted.phase = BatchJobPhase::kAdmitted;
-    admitted.name = "a";
-    manifest->append(admitted);
-    admitted.job = 1;
-    admitted.name = "b";
-    manifest->append(admitted);
-
-    BatchJobRecord assigned;
-    assigned.phase = BatchJobPhase::kAssigned;
-    assigned.job = 0;
-    assigned.name = "a";
-    assigned.journal_file = "job-0-a.mlcdj";
-    manifest->append(assigned);
+    std::unique_ptr<BatchLog> log = BatchLog::create(path, header, {"a", "b"});
+    log->stage(assigned_record(0, "a"));
+    log->stage_probe(0, sample_probe(2));
+    log->stage_degrade(0, {1, "refit failed"});
+    log->stage_probe(0, sample_probe(5));
 
     BatchJobRecord finished;
     finished.phase = BatchJobPhase::kFinished;
     finished.job = 0;
     finished.name = "a";
-    finished.journal_file = "job-0-a.mlcdj";
     finished.ok = true;
     finished.outcome = "ok";
     finished.report_digest = 0xFFFFFFFFFFFFFFFFULL;
-    manifest->append(finished);
+    log->stage(finished);
+    log->flush();
+    EXPECT_EQ(log->records(), 7);
+    EXPECT_TRUE(log->error().empty());
   }
 
   const BatchManifestContents back = read_manifest(path);
@@ -175,26 +230,54 @@ TEST(BatchManifest, RoundTripsJobLifecycle) {
   EXPECT_TRUE(back.jobs[0].finished);
   EXPECT_TRUE(back.jobs[0].ok);
   EXPECT_EQ(back.jobs[0].outcome, "ok");
-  EXPECT_EQ(back.jobs[0].journal_file, "job-0-a.mlcdj");
   EXPECT_EQ(back.jobs[0].report_digest, 0xFFFFFFFFFFFFFFFFULL);
+  // The assigned record carries the job's journal header, and the
+  // job-tagged probe records come back bit-exactly, in order.
+  EXPECT_TRUE(journal::header_diff(back.jobs[0].header, sample_job_header())
+                  .empty());
+  const std::vector<journal::ProbeRecord> probes = logged_probes(path, 0);
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_EQ(probes[0].nodes, 2);
+  EXPECT_EQ(probes[1].nodes, 5);
+  EXPECT_EQ(probes[1].measured_speed, 0.1 + 0.2);
+  EXPECT_EQ(probes[1].cum_profile_cost, 1.0 / 3.0);
+  EXPECT_EQ(probes[1].reason, "tei \"quoted\"");
+  ASSERT_EQ(probes[1].attempt_log.size(), 1u);
+  EXPECT_EQ(probes[1].attempt_log[0].backoff_hours, 0.031);
   EXPECT_TRUE(back.jobs[1].admitted);
   EXPECT_FALSE(back.jobs[1].assigned);
   EXPECT_FALSE(back.jobs[1].finished);
+  EXPECT_TRUE(back.jobs[1].probe_spans.empty());
+}
+
+// A second assigned record is a fresh restart of the job: the probes of
+// its earlier run are void.
+TEST(BatchManifest, ReassignedJobStartsItsProbesAfresh) {
+  const std::string path = temp_path("reassigned.mlcdb");
+  {
+    std::unique_ptr<BatchLog> log =
+        BatchLog::create(path, sample_batch_header(), {"a", "b"});
+    log->stage(assigned_record(0, "a"));
+    log->stage_probe(0, sample_probe(2));
+    log->stage(assigned_record(0, "a"));
+    log->stage_probe(0, sample_probe(4));
+    log->flush();
+  }
+  EXPECT_TRUE(read_manifest(path).jobs[0].admitted);
+  const std::vector<journal::ProbeRecord> probes = logged_probes(path, 0);
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_EQ(probes[0].nodes, 4);
 }
 
 TEST(BatchManifest, TornTailIsDroppedNotFatal) {
   const std::string path = temp_path("torn.mlcdb");
   {
-    std::unique_ptr<BatchJournal> manifest =
-        BatchJournal::create(path, sample_batch_header());
-    BatchJobRecord record;
-    record.phase = BatchJobPhase::kAssigned;
-    record.journal_file = "job-0-a.mlcdj";
-    manifest->append(record);
-    record.phase = BatchJobPhase::kFinished;
-    record.ok = true;
-    record.outcome = "ok";
-    manifest->append(record);
+    BatchJobRecord finished;
+    finished.phase = BatchJobPhase::kFinished;
+    finished.ok = true;
+    finished.outcome = "ok";
+    write_log(path, sample_batch_header(), {},
+              {assigned_record(0, "a"), finished});
   }
   const std::string bytes = read_file(path);
   const std::vector<std::size_t> offsets = record_boundaries(bytes);
@@ -212,23 +295,15 @@ TEST(BatchManifest, TornTailIsDroppedNotFatal) {
 
 TEST(BatchManifest, MidFileCorruptionRefusedTyped) {
   const std::string path = temp_path("corrupt.mlcdb");
-  {
-    std::unique_ptr<BatchJournal> manifest =
-        BatchJournal::create(path, sample_batch_header());
-    BatchJobRecord record;
-    record.phase = BatchJobPhase::kAssigned;
-    record.journal_file = "job-0-a.mlcdj";
-    manifest->append(record);
-    record.job = 1;
-    manifest->append(record);
-  }
+  write_log(path, sample_batch_header(), {},
+            {assigned_record(0, "a"), assigned_record(1, "b")});
   std::string bytes = read_file(path);
   const std::vector<std::size_t> offsets = record_boundaries(bytes);
   bytes[offsets[1] + 20] ^= 0x20;  // flip a byte before the tail
   write_file(path, bytes);
   try {
     read_manifest(path);
-    FAIL() << "corrupt manifest was accepted";
+    FAIL() << "corrupt log was accepted";
   } catch (const journal::JournalError& e) {
     EXPECT_EQ(e.code(), journal::JournalErrorCode::kCorrupt);
   }
@@ -236,12 +311,15 @@ TEST(BatchManifest, MidFileCorruptionRefusedTyped) {
 
 TEST(BatchManifest, ValidFrameWithGarbagePayloadRefusedTyped) {
   const std::string path = temp_path("garbage.mlcdb");
-  { BatchJournal::create(path, sample_batch_header()); }
-  // A correctly-framed record whose payload is not a manifest record is
-  // not a torn write — the writer stored garbage. Refuse, typed.
-  for (const std::string payload : {"not json at all", "[1,2,3]",
-                                    R"({"t":"alien"})",
-                                    R"({"t":"job","phase":"warped"})"}) {
+  write_log(path, sample_batch_header(), {"a", "b"});
+  // A correctly-framed record whose payload is not a log record is not
+  // a torn write — the writer stored garbage. Refuse, typed. A probe of
+  // a job the log never assigned is out of place the same way.
+  for (const std::string payload :
+       {"not json at all", "[1,2,3]", R"({"t":"alien"})",
+        R"({"t":"job","phase":"warped","job":0})",
+        R"({"t":"job","phase":"assigned","job":0,"name":"a"})",
+        R"({"t":"probe","job":1,"type_index":0})"}) {
     const std::string base = read_file(path);
     write_file(path, base + journal::frame_record(payload));
     try {
@@ -256,26 +334,26 @@ TEST(BatchManifest, ValidFrameWithGarbagePayloadRefusedTyped) {
 
 TEST(BatchManifest, UnsupportedVersionRefusedTyped) {
   const std::string path = temp_path("version.mlcdb");
-  BatchManifestHeader header = sample_batch_header();
-  header.version = kBatchManifestVersion + 1;
-  { BatchJournal::create(path, header); }
-  try {
-    read_manifest(path);
-    FAIL() << "future manifest version was accepted";
-  } catch (const journal::JournalError& e) {
-    EXPECT_EQ(e.code(), journal::JournalErrorCode::kVersionMismatch);
+  // A future version, and version 1 — the manifest that sat beside one
+  // run journal per job, which this reader no longer plans from.
+  for (const int version : {kBatchManifestVersion + 1, 1}) {
+    BatchManifestHeader header = sample_batch_header();
+    header.version = version;
+    write_log(path, header, {});
+    try {
+      read_manifest(path);
+      FAIL() << "log version " << version << " was accepted";
+    } catch (const journal::JournalError& e) {
+      EXPECT_EQ(e.code(), journal::JournalErrorCode::kVersionMismatch);
+    }
   }
 }
 
 TEST(BatchManifest, OutOfRangeJobIndexRefusedTyped) {
   const std::string path = temp_path("range.mlcdb");
-  {
-    std::unique_ptr<BatchJournal> manifest =
-        BatchJournal::create(path, sample_batch_header());
-    BatchJobRecord record;
-    record.job = 2;  // header declares job_count = 2 -> valid are 0, 1
-    manifest->append(record);
-  }
+  BatchJobRecord record;
+  record.job = 2;  // header declares job_count = 2 -> valid are 0, 1
+  write_log(path, sample_batch_header(), {}, {record});
   try {
     read_manifest(path);
     FAIL() << "out-of-range job index was accepted";
@@ -286,7 +364,7 @@ TEST(BatchManifest, OutOfRangeJobIndexRefusedTyped) {
 
 TEST(BatchManifest, SecondHeaderRefusedTyped) {
   const std::string path = temp_path("twohead.mlcdb");
-  { BatchJournal::create(path, sample_batch_header()); }
+  write_log(path, sample_batch_header(), {});
   const std::string bytes = read_file(path);
   write_file(path, bytes + bytes);  // duplicate the header record
   try {
@@ -302,18 +380,13 @@ TEST(BatchManifest, HeaderlessOrEmptyFileRefusedTyped) {
   write_file(path, "");
   EXPECT_THROW(read_manifest(path), journal::JournalError);
   // A job record where the header should be.
-  BatchJobRecord record;
-  {
-    std::unique_ptr<BatchJournal> manifest =
-        BatchJournal::create(path, sample_batch_header());
-    manifest->append(record);
-  }
+  write_log(path, sample_batch_header(), {"a"});
   const std::string bytes = read_file(path);
   const std::vector<std::size_t> offsets = record_boundaries(bytes);
   write_file(path, bytes.substr(offsets[1]));  // strip the header line
   try {
     read_manifest(path);
-    FAIL() << "headerless manifest was accepted";
+    FAIL() << "headerless log was accepted";
   } catch (const journal::JournalError& e) {
     EXPECT_EQ(e.code(), journal::JournalErrorCode::kCorrupt);
   }
@@ -471,20 +544,39 @@ TEST(StorageFaults, CreateFaultObeysThePolicy) {
   }
 }
 
-TEST(StorageFaults, ManifestAppendFaultUnderAbortThrowsAfterDrain) {
-  const std::string dir = fresh_dir("manifest_abort");
+// With one lane the global record order is: log header (0), the two
+// admitted records (1, 2), then job 0's assigned record (3), which
+// commits together with job 0's first probe record. Under abort that
+// failed commit fails job 0 typed without admitting its probe, and job 1
+// — whose records the failed log refuses — fails typed too: no result
+// the log lost is reported as a success.
+TEST(StorageFaults, LogCommitFaultUnderAbortFailsTheJobsItLost) {
+  const std::string dir = fresh_dir("log_abort");
   const Workload workload = durable_fleet();
   const system::Mlcd mlcd;
-  // Global append order with one lane: manifest header (0), two
-  // admitted records (1, 2), then job 0's assigned record (3).
-  FaultScope scope(fail_at(3));
-  try {
-    Scheduler(mlcd, durable_options(dir)).run(workload);
-    FAIL() << "manifest append fault was swallowed under abort";
-  } catch (const journal::JournalError& e) {
-    EXPECT_EQ(e.code(), journal::JournalErrorCode::kIo);
-    EXPECT_NE(std::string(e.what()).find("manifest"), std::string::npos);
+  BatchReport report;
+  {
+    FaultScope scope(fail_at(3));
+    report = Scheduler(mlcd, durable_options(dir)).run(workload);
   }
+  ASSERT_EQ(report.jobs.size(), 2u);
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_FALSE(job.ok) << job.name;
+    EXPECT_EQ(job.error_code, "journal_error") << job.name;
+    EXPECT_NE(job.error_message.find("[io]"), std::string::npos) << job.name;
+    EXPECT_NE(job.error_message.find("batch log"), std::string::npos)
+        << job.name;
+  }
+  EXPECT_FALSE(report.batch_journal_degraded);
+  // What reached the disk is a readable prefix: the roster, and at most
+  // the failed group — no finished record, nothing after the failure.
+  const BatchManifestContents back = read_manifest(dir + "/batch.mlcdb");
+  for (const BatchJobState& state : back.jobs) {
+    EXPECT_TRUE(state.admitted);
+    EXPECT_FALSE(state.finished);
+  }
+  EXPECT_LE(back.jobs[0].probe_spans.size(), 1u);
+  EXPECT_TRUE(back.jobs[1].probe_spans.empty());
 }
 
 TEST(StorageFaults, ManifestAppendFaultUnderDegradeFlagsTheReport) {
@@ -502,6 +594,9 @@ TEST(StorageFaults, ManifestAppendFaultUnderDegradeFlagsTheReport) {
   EXPECT_NE(report.to_json().find("\"batch_journal_degraded\":true"),
             std::string::npos);
   EXPECT_NE(report.render().find("WARNING"), std::string::npos);
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_TRUE(job.report.journal_degraded) << job.name;
+  }
 }
 
 TEST(StorageFaults, ManifestCreateFaultObeysThePolicy) {
@@ -554,7 +649,7 @@ TEST(StorageFaults, JournalDirCreateFailureObeysThePolicy) {
 
 // ------------------------------------------------------ durable batch runs
 
-TEST(DurableBatch, FreshRunWritesManifestAndPerJobJournals) {
+TEST(DurableBatch, FreshRunWritesOneLog) {
   const std::string dir = fresh_dir("fresh");
   const Workload workload = durable_fleet();
   const system::Mlcd mlcd;
@@ -565,26 +660,49 @@ TEST(DurableBatch, FreshRunWritesManifestAndPerJobJournals) {
   EXPECT_EQ(report.replayed_reports(), 0);
   EXPECT_FALSE(report.batch_journal_degraded);
 
-  ASSERT_TRUE(std::filesystem::exists(dir + "/batch.mlcdb"));
-  ASSERT_TRUE(std::filesystem::exists(dir + "/job-0-a.mlcdj"));
-  ASSERT_TRUE(std::filesystem::exists(dir + "/job-1-b.mlcdj"));
-
-  const BatchManifestContents manifest = read_manifest(dir + "/batch.mlcdb");
-  ASSERT_EQ(manifest.jobs.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_TRUE(manifest.jobs[i].finished) << "job " << i;
-    EXPECT_TRUE(manifest.jobs[i].ok) << "job " << i;
-    EXPECT_EQ(manifest.jobs[i].outcome, "ok") << "job " << i;
-    EXPECT_EQ(manifest.jobs[i].report_digest,
-              digest_run_report(report.jobs[i].report))
-        << "job " << i;
+  // The log is the directory's only file: no per-job journal, and no
+  // temporary left behind by the create.
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
   }
+  EXPECT_EQ(files, std::vector<std::string>{"batch.mlcdb"});
+
+  const BatchManifestContents log = read_manifest(dir + "/batch.mlcdb");
+  ASSERT_EQ(log.jobs.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const BatchJobState& state = log.jobs[i];
+    EXPECT_TRUE(state.finished) << "job " << i;
+    EXPECT_TRUE(state.ok) << "job " << i;
+    EXPECT_EQ(state.outcome, "ok") << "job " << i;
+    EXPECT_EQ(state.report_digest, digest_run_report(report.jobs[i].report))
+        << "job " << i;
+    EXPECT_EQ(state.header.model, workload.jobs[i].request.model);
+    EXPECT_EQ(state.header.seed, workload.jobs[i].request.seed);
+    // One probe record per trace step, in trace order.
+    const std::vector<search::ProbeStep>& trace =
+        report.jobs[i].report.result.trace;
+    const std::vector<journal::ProbeRecord> probes =
+        logged_probes(dir + "/batch.mlcdb", i);
+    ASSERT_EQ(probes.size(), trace.size()) << "job " << i;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      EXPECT_EQ(probes[k].nodes, trace[k].deployment.nodes);
+      EXPECT_EQ(probes[k].cum_profile_cost, trace[k].cum_profile_cost);
+    }
+  }
+  // Records: header-free roster (2) + per job assigned, probes,
+  // finished; the roster alone was one commit, and commits group.
+  EXPECT_EQ(report.log_records,
+            static_cast<std::int64_t>(2 + 2 * 2 +
+                                      log.jobs[0].probe_spans.size() +
+                                      log.jobs[1].probe_spans.size()));
+  EXPECT_GE(report.log_commits, 1);
+  EXPECT_LE(report.log_commits, report.log_records);
 }
 
-// Four lanes race lifecycle appends into the shared manifest while
-// per-job journals record probes; the lane count is trace-neutral (same
-// digests as the serial durable run) and the finished batch still
-// replays probe-free.
+// Four lanes race their records into the one batch log through the
+// commit fence; the lane count is trace-neutral (same digests as the
+// serial durable run) and the finished batch still replays probe-free.
 TEST(DurableBatch, FourLaneDurableBatchMatchesSerial) {
   Workload workload = durable_fleet();
   for (std::size_t j = 0; j < 2; ++j) {
@@ -643,28 +761,24 @@ TEST(DurableBatch, ResumeOfFinishedBatchReplaysProbeFree) {
       EXPECT_TRUE(step.replayed);
     }
   }
-  // Nothing was measured, so nothing reached the shared cache.
+  // Nothing was measured, so nothing reached the shared cache, and
+  // nothing was logged: the resume appended zero records.
   EXPECT_EQ(second.cache.inserts, 0);
   EXPECT_EQ(second.cache.lookups, 0);
   EXPECT_EQ(second.peak_capacity_nodes, 0);
+  EXPECT_EQ(second.log_records, 0);
+  EXPECT_EQ(read_manifest(dir + "/batch.mlcdb").valid_bytes,
+            std::filesystem::file_size(dir + "/batch.mlcdb"));
 }
 
 TEST(DurableBatch, ResumeRunsNeverStartedJobsFresh) {
-  // A kill right after admission: the manifest has only the header and
-  // the admitted roster — no per-job journal exists yet.
+  // A kill right after admission: the log has only the header and the
+  // admitted roster.
   const std::string dir = fresh_dir("admitted_only");
   const Workload workload = durable_fleet();
   const system::Mlcd mlcd;
-  {
-    std::unique_ptr<BatchJournal> manifest = BatchJournal::create(
-        dir + "/batch.mlcdb", make_manifest_header(workload, 0, 0));
-    for (int i = 0; i < 2; ++i) {
-      BatchJobRecord record;
-      record.job = i;
-      record.name = workload.jobs[static_cast<std::size_t>(i)].name;
-      manifest->append(record);
-    }
-  }
+  write_log(dir + "/batch.mlcdb", make_manifest_header(workload, 0, 0),
+            {workload.jobs[0].name, workload.jobs[1].name});
 
   SchedulerOptions options = durable_options(dir);
   options.resume = true;
@@ -682,45 +796,37 @@ TEST(DurableBatch, ResumeRunsNeverStartedJobsFresh) {
               digest_run_report(baseline.jobs[i].report))
         << "job " << i;
   }
-  // ... and the continued manifest now records both jobs finished.
-  const BatchManifestContents manifest = read_manifest(dir + "/batch.mlcdb");
-  EXPECT_TRUE(manifest.jobs[0].finished);
-  EXPECT_TRUE(manifest.jobs[1].finished);
+  // ... and the continued log now records both jobs finished.
+  const BatchManifestContents log = read_manifest(dir + "/batch.mlcdb");
+  EXPECT_TRUE(log.jobs[0].finished);
+  EXPECT_TRUE(log.jobs[1].finished);
+}
+
+/// A one-lane durable run of `workload` in `dir`, whose log then has the
+/// deterministic order header, roster, and per job: assigned, probes,
+/// finished.
+BatchReport baseline_run(const Workload& workload, const std::string& dir) {
+  const system::Mlcd mlcd;
+  return Scheduler(mlcd, durable_options(dir)).run(workload);
 }
 
 TEST(DurableBatch, ResumeContinuesInFlightJobs) {
-  // A kill mid-job: the manifest says job 0 was assigned, its journal
-  // holds a prefix of the probe trace, and job 1 never started.
+  // A kill mid-job: the log holds job 0's assigned record and its first
+  // five probe records; job 1 never started.
   const std::string baseline_dir = fresh_dir("inflight_baseline");
   const Workload workload = durable_fleet();
   const system::Mlcd mlcd;
-  const BatchReport baseline =
-      Scheduler(mlcd, durable_options(baseline_dir)).run(workload);
+  const BatchReport baseline = baseline_run(workload, baseline_dir);
   ASSERT_EQ(baseline.succeeded(), 2);
 
   const std::string dir = fresh_dir("inflight");
-  {
-    std::unique_ptr<BatchJournal> manifest = BatchJournal::create(
-        dir + "/batch.mlcdb", make_manifest_header(workload, 0, 0));
-    BatchJobRecord record;
-    record.name = "a";
-    manifest->append(record);
-    record.job = 1;
-    record.name = "b";
-    manifest->append(record);
-    BatchJobRecord assigned;
-    assigned.phase = BatchJobPhase::kAssigned;
-    assigned.name = "a";
-    assigned.journal_file = "job-0-a.mlcdj";
-    manifest->append(assigned);
-  }
-  // Truncate job 0's journal to header + 5 probes — the journaled
-  // prefix a kill would have left.
-  const std::string bytes =
-      read_file(baseline_dir + "/job-0-a.mlcdj");
+  const std::string bytes = read_file(baseline_dir + "/batch.mlcdb");
   const std::vector<std::size_t> offsets = record_boundaries(bytes);
-  ASSERT_GT(offsets.size(), 7u);
-  write_file(dir + "/job-0-a.mlcdj", bytes.substr(0, offsets[6]));
+  // header (0), roster (1, 2), assigned (3), probes (4..8).
+  ASSERT_GT(offsets.size(), 10u);
+  write_file(dir + "/batch.mlcdb", bytes.substr(0, offsets[9]));
+  ASSERT_EQ(read_manifest(dir + "/batch.mlcdb").jobs[0].probe_spans.size(),
+            5u);
 
   SchedulerOptions options = durable_options(dir);
   options.resume = true;
@@ -735,38 +841,42 @@ TEST(DurableBatch, ResumeContinuesInFlightJobs) {
               digest_run_report(baseline.jobs[i].report))
         << "job " << i;
   }
-  // Only the journaled prefix was replayed; the rest ran live.
+  // Only the logged prefix was replayed; the rest ran live.
   EXPECT_EQ(resumed.jobs[0].report.result.replayed_probes, 5);
   EXPECT_GT(resumed.jobs[0].report.result.trace.size(), 5u);
+  // The continued log holds job 0's whole trace, once.
+  const BatchManifestContents log = read_manifest(dir + "/batch.mlcdb");
+  EXPECT_EQ(log.jobs[0].probe_spans.size(),
+            resumed.jobs[0].report.result.trace.size());
+  EXPECT_TRUE(log.jobs[0].finished);
 }
 
-TEST(DurableBatch, AssignedJobWithLostJournalRunsFresh) {
-  const std::string dir = fresh_dir("lost_journal");
+TEST(DurableBatch, AssignedJobWithNoProbeRecordsRunsFresh) {
+  // A kill between job 0's assigned record and its first probe record.
+  const std::string baseline_dir = fresh_dir("assigned_baseline");
   const Workload workload = durable_fleet();
   const system::Mlcd mlcd;
-  {
-    std::unique_ptr<BatchJournal> manifest = BatchJournal::create(
-        dir + "/batch.mlcdb", make_manifest_header(workload, 0, 0));
-    BatchJobRecord record;
-    record.name = "a";
-    manifest->append(record);
-    record.job = 1;
-    record.name = "b";
-    manifest->append(record);
-    BatchJobRecord assigned;
-    assigned.phase = BatchJobPhase::kAssigned;
-    assigned.name = "a";
-    assigned.journal_file = "job-0-a.mlcdj";
-    manifest->append(assigned);
-    // ... but job-0-a.mlcdj never reached the disk (or was deleted).
-  }
+  const BatchReport baseline = baseline_run(workload, baseline_dir);
+  const std::string dir = fresh_dir("assigned_only");
+  const std::string bytes = read_file(baseline_dir + "/batch.mlcdb");
+  const std::vector<std::size_t> offsets = record_boundaries(bytes);
+  write_file(dir + "/batch.mlcdb", bytes.substr(0, offsets[4]));
+  ASSERT_TRUE(read_manifest(dir + "/batch.mlcdb").jobs[0].assigned);
+
   SchedulerOptions options = durable_options(dir);
   options.resume = true;
   const BatchReport resumed = Scheduler(mlcd, options).run(workload);
   ASSERT_EQ(resumed.succeeded(), 2);
   EXPECT_EQ(resumed.resumed_jobs(), 0);
   EXPECT_FALSE(resumed.jobs[0].stats.resumed_from_journal);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/job-0-a.mlcdj"));
+  EXPECT_EQ(resumed.jobs[0].report.result.replayed_probes, 0);
+  EXPECT_EQ(digest_run_report(resumed.jobs[0].report),
+            digest_run_report(baseline.jobs[0].report));
+  // The fresh run logged a new assigned record and its whole trace.
+  const BatchManifestContents log = read_manifest(dir + "/batch.mlcdb");
+  EXPECT_TRUE(log.jobs[0].finished);
+  EXPECT_EQ(log.jobs[0].probe_spans.size(),
+            resumed.jobs[0].report.result.trace.size());
 }
 
 TEST(DurableBatch, ResumeRefusesMismatchedWorkload) {
@@ -870,6 +980,244 @@ TEST(DurableBatch, OptionValidationIsStrict) {
   dirless.resume = true;
   EXPECT_THROW(Scheduler(mlcd, dirless).run(durable_fleet()),
                std::invalid_argument);
+}
+
+TEST(DurableBatch, ResumeRefusesVersionOneLog) {
+  // A directory written before the batch log: a version-1 manifest (its
+  // per-job journal files beside it). Resume refuses it typed.
+  const std::string dir = fresh_dir("version_one");
+  const Workload workload = durable_fleet();
+  BatchManifestHeader header = make_manifest_header(workload, 0, 0);
+  header.version = 1;
+  write_log(dir + "/batch.mlcdb", header, {"a", "b"});
+  SchedulerOptions options = durable_options(dir);
+  options.resume = true;
+  const system::Mlcd mlcd;
+  try {
+    Scheduler(mlcd, options).run(workload);
+    FAIL() << "a version-1 batch directory was resumed";
+  } catch (const journal::JournalError& e) {
+    EXPECT_EQ(e.code(), journal::JournalErrorCode::kVersionMismatch);
+  }
+}
+
+TEST(DurableBatch, ResumeRefusesAJobWhoseSearchChanged) {
+  // The workload fingerprint matches, but job 0's assigned record says
+  // its search ran against another catalog: that job is refused typed
+  // with the differing field named; the other still replays.
+  const std::string dir = fresh_dir("search_changed");
+  const Workload workload = durable_fleet();
+  const system::Mlcd mlcd;
+  ASSERT_EQ(baseline_run(workload, dir).succeeded(), 2);
+  const std::string path = dir + "/batch.mlcdb";
+  const std::string bytes = read_file(path);
+  std::string rebuilt;
+  for (std::size_t at = 0; at < bytes.size();) {
+    const std::size_t eol = bytes.find('\n', at);
+    std::string line = bytes.substr(at, eol - at + 1);
+    if (line.find("\"phase\":\"assigned\",\"job\":0") != std::string::npos) {
+      std::string payload = line.substr(0, line.size() - 1);
+      for (int spaces = 0; spaces < 3; ++spaces) {
+        payload = payload.substr(payload.find(' ') + 1);
+      }
+      const std::string key = "\"catalog_hash\":\"";
+      const std::size_t value = payload.find(key) + key.size();
+      payload.replace(value, payload.find('"', value) - value, "42");
+      line = journal::frame_record(payload);
+    }
+    rebuilt += line;
+    at = eol + 1;
+  }
+  write_file(path, rebuilt);
+
+  SchedulerOptions options = durable_options(dir);
+  options.resume = true;
+  const BatchReport resumed = Scheduler(mlcd, options).run(workload);
+  EXPECT_FALSE(resumed.jobs[0].ok);
+  EXPECT_EQ(resumed.jobs[0].error_code, "journal_error");
+  EXPECT_NE(resumed.jobs[0].error_message.find("[header-mismatch]"),
+            std::string::npos);
+  EXPECT_NE(resumed.jobs[0].error_message.find("catalog contents"),
+            std::string::npos);
+  EXPECT_TRUE(resumed.jobs[1].ok);
+  EXPECT_TRUE(resumed.jobs[1].stats.replayed_from_journal);
+}
+
+/// Solo digests of every job of `workload` (the trace-neutrality
+/// reference every scheduled run must match).
+std::vector<std::uint64_t> solo_digests(const Workload& workload) {
+  const system::Mlcd mlcd;
+  std::vector<std::uint64_t> digests;
+  for (const JobSpec& spec : workload.jobs) {
+    digests.push_back(digest_run_report(mlcd.deploy(spec.request).report()));
+  }
+  return digests;
+}
+
+// The commit fence groups records: a 4-lane, 32-job batch commits far
+// fewer times than it logs records, the roster alone being one commit.
+TEST(DurableBatch, GroupCommitTakesFewerCommitsThanRecords) {
+  const Workload workload = wide_fleet(32);
+  std::vector<std::string> roster;
+  for (const JobSpec& spec : workload.jobs) roster.push_back(spec.name);
+  {
+    const std::string dir = fresh_dir("roster_commit");
+    const std::unique_ptr<BatchLog> log = BatchLog::create(
+        dir + "/batch.mlcdb", make_manifest_header(workload, 0, 0), roster);
+    EXPECT_EQ(log->commits(), 1);
+    EXPECT_EQ(log->records(), 32);
+  }
+  const system::Mlcd mlcd;
+  SchedulerOptions options = durable_options(fresh_dir("group_commit"));
+  options.threads = 4;
+  const BatchReport report = Scheduler(mlcd, options).run(workload);
+  ASSERT_EQ(report.succeeded(), 32);
+  EXPECT_GT(report.log_records, 32 * 3);
+  EXPECT_LT(report.log_commits, report.log_records);
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i]) << i;
+  }
+}
+
+TEST(DurableBatch, OneFourAndSixteenLanesLogIdenticalReports) {
+  const Workload workload = wide_fleet(32);
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  const system::Mlcd mlcd;
+  for (const int lanes : {1, 4, 16}) {
+    SchedulerOptions options =
+        durable_options(fresh_dir("lanes_" + std::to_string(lanes)));
+    options.threads = lanes;
+    const BatchReport report = Scheduler(mlcd, options).run(workload);
+    ASSERT_EQ(report.succeeded(), 32) << lanes << " lanes";
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i])
+          << lanes << " lanes, job " << i;
+    }
+    // And the log replays every one of them probe-free.
+    options.resume = true;
+    const BatchReport replay = Scheduler(mlcd, options).run(workload);
+    EXPECT_EQ(replay.replayed_reports(), 32) << lanes << " lanes";
+  }
+}
+
+// ------------------------------------------------ commit fence under faults
+
+TEST(StorageFaults, FailedCommitLatchesTheLog) {
+  const std::string path = temp_path("latch.mlcdb");
+  std::unique_ptr<BatchLog> log =
+      BatchLog::create(path, sample_batch_header(), {"a", "b"});
+  log->stage(assigned_record(0, "a"));
+  log->stage(assigned_record(1, "b"));
+  log->flush();
+  const std::uintmax_t before = std::filesystem::file_size(path);
+  std::uint64_t failed_lsn = 0;
+  {
+    // The injector is consulted once per staged record, so fail_at = 1
+    // is the second record staged from here.
+    FaultScope scope(fail_at(1, journal::IoFaultKind::kEnospc));
+    ASSERT_TRUE(log->stage_probe(0, sample_probe(1)).has_value());
+    const std::optional<std::uint64_t> lsn =
+        log->stage_probe(1, sample_probe(2));
+    ASSERT_TRUE(lsn.has_value());
+    failed_lsn = *lsn;
+    bool parked_hook_ran = false;
+    EXPECT_EQ(log->park(*lsn, BatchLog::Waiter{1, 0, false},
+                        [&] { parked_hook_ran = true; }),
+              BatchLog::Fence::kParked);
+    EXPECT_TRUE(parked_hook_ran);
+    std::vector<BatchLog::Waiter> released;
+    ASSERT_TRUE(log->commit(released));
+    ASSERT_EQ(released.size(), 1u);
+    EXPECT_EQ(released[0].job, 1u);
+    EXPECT_FALSE(released[0].durable);
+  }
+  EXPECT_FALSE(log->error().empty());
+  EXPECT_EQ(log->lost_jobs(), (std::vector<int>{0, 1}));
+  // ENOSPC landed the record before the faulty one, nothing after it...
+  const std::uintmax_t after = std::filesystem::file_size(path);
+  EXPECT_GT(after, before);
+  // ... and the failed log accepts nothing more.
+  EXPECT_FALSE(log->stage_probe(0, sample_probe(3)).has_value());
+  EXPECT_EQ(log->park(failed_lsn, BatchLog::Waiter{0, 0, false}, nullptr),
+            BatchLog::Fence::kFailed);
+  std::vector<BatchLog::Waiter> released;
+  EXPECT_FALSE(log->commit(released));
+  log->flush();
+  EXPECT_EQ(std::filesystem::file_size(path), after);
+  EXPECT_EQ(log->commits(), 2);  // the roster's and the assigned pair's
+  // What did land reads back cleanly.
+  EXPECT_NO_THROW(read_manifest(path));
+}
+
+/// Probe records logged for each job are a prefix of its solo trace.
+void expect_logged_prefixes(const std::string& path, const Workload& workload) {
+  const system::Mlcd mlcd;
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    const std::vector<search::ProbeStep> trace =
+        mlcd.deploy(workload.jobs[i].request).report().result.trace;
+    const std::vector<journal::ProbeRecord> probes = logged_probes(path, i);
+    ASSERT_LE(probes.size(), trace.size()) << "job " << i;
+    for (std::size_t k = 0; k < probes.size(); ++k) {
+      EXPECT_EQ(probes[k].cum_profile_cost, trace[k].cum_profile_cost)
+          << "job " << i << " probe " << k;
+    }
+  }
+}
+
+// An fsync failure at one commit of a 4-lane batch. Under abort every
+// job whose record was in the failed group — and every job that logs
+// after it — fails typed and never admits the held probe; every job that
+// did complete is solo-identical, and the log on disk is a clean prefix.
+TEST(StorageFaults, FsyncFailureAtOneCommitUnderAbortFailsItsGroupTyped) {
+  const Workload workload = wide_fleet(32);
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  const system::Mlcd mlcd;
+  const std::string dir = fresh_dir("fence_abort");
+  SchedulerOptions options = durable_options(dir);
+  options.threads = 4;
+  BatchReport report;
+  {
+    FaultScope scope(fail_at(120));  // mid-batch: past the 33 roster records
+    report = Scheduler(mlcd, options).run(workload);
+  }
+  int failed = 0;
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    const JobOutcome& job = report.jobs[i];
+    if (job.ok) {
+      EXPECT_EQ(digest_run_report(job.report), solo[i]) << job.name;
+      continue;
+    }
+    ++failed;
+    EXPECT_EQ(job.error_code, "journal_error") << job.name;
+    EXPECT_TRUE(job.report.result.trace.empty()) << job.name;
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_FALSE(report.batch_journal_degraded);
+  expect_logged_prefixes(dir + "/batch.mlcdb", workload);
+}
+
+// The same fault under degrade: every report equals the solo run's; the
+// batch only stops being kill-resumable.
+TEST(StorageFaults, FsyncFailureAtOneCommitUnderDegradeKeepsReportsSolo) {
+  const Workload workload = wide_fleet(32);
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  const system::Mlcd mlcd;
+  const std::string dir = fresh_dir("fence_degrade");
+  SchedulerOptions options = durable_options(dir);
+  options.threads = 4;
+  options.journal_on_error = journal::OnError::kDegrade;
+  BatchReport report;
+  {
+    FaultScope scope(fail_at(120));
+    report = Scheduler(mlcd, options).run(workload);
+  }
+  ASSERT_EQ(report.succeeded(), 32);
+  EXPECT_TRUE(report.batch_journal_degraded);
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i]) << i;
+  }
+  expect_logged_prefixes(dir + "/batch.mlcdb", workload);
 }
 
 // ------------------------------------------------- capacity revocation edges

@@ -646,23 +646,41 @@ std::string valid_journal_bytes() {
   return read_file(path);
 }
 
+/// A small batch log: header, roster, one job's assigned record (with
+/// its journal header), job-tagged probe and degrade records carrying
+/// strings, attempt logs and extreme doubles, and its finished record.
 std::string valid_manifest_bytes() {
   const std::string path = temp_path("fuzz.mlcdb");
   service::BatchManifestHeader header;
   header.workload_hash = 0xDEADBEEFCAFEF00DULL;
   header.job_count = 2;
-  std::unique_ptr<service::BatchJournal> manifest =
-      service::BatchJournal::create(path, header);
+  std::unique_ptr<service::BatchLog> log =
+      service::BatchLog::create(path, header, {"a", "b"});
   service::BatchJobRecord record;
+  record.phase = service::BatchJobPhase::kAssigned;
   record.name = "a";
-  manifest->append(record);
+  record.header = sample_header();
+  log->stage(record);
+  journal::ProbeRecord probe;
+  probe.type_index = 3;
+  probe.nodes = 5;
+  probe.feasible = true;
+  probe.measured_speed = 0.1 + 0.2;
+  probe.profile_hours = 5e-324;
+  probe.reason = "tei \"quoted\"";
+  probe.attempt_log = {{1, 0.05, 0.25, 0.031}};
+  log->stage_probe(0, probe);
+  log->stage_degrade(0, {1, "fuzz"});
+  probe.nodes = 2;
+  probe.failed = true;
+  log->stage_probe(0, probe);
   record.phase = service::BatchJobPhase::kFinished;
-  record.journal_file = "job-0-a.mlcdj";
   record.ok = true;
   record.outcome = "ok";
   record.report_digest = 77;
-  manifest->append(record);
-  manifest.reset();
+  log->stage(record);
+  log->flush();
+  log.reset();
   return read_file(path);
 }
 
@@ -726,8 +744,13 @@ TEST(JournalFuzz, RunJournalSurvivesBitFlipAndTruncationSweep) {
 
 TEST(JournalFuzz, BatchManifestSurvivesBitFlipAndTruncationSweep) {
   const std::string path = temp_path("fuzz_manifest_sweep.mlcdb");
+  // As a resume reads it: the planning pass, then each job's probes.
   run_fuzz_sweep(valid_manifest_bytes(), path, [](const std::string& p) {
-    return service::read_manifest(p).truncated_tail;
+    const service::BatchManifestContents plan = service::read_manifest(p);
+    for (const service::BatchJobState& job : plan.jobs) {
+      service::read_probe_records(p, job.probe_spans);
+    }
+    return plan.truncated_tail;
   });
 }
 
