@@ -67,9 +67,6 @@ bool billing_identity_holds(const search::SearchResult& r) {
 }  // namespace
 
 int main() {
-  // Opening the suite up front starts the observatory's resource
-  // probe (wall time, RSS, allocations) for the whole run.
-  obs::MetricRegistry& metrics = bench::metrics("chaos-constraints");
   bench::print_header(
       "Chaos — constraint safety under injected failures",
       "(beyond the paper) §III-C claims constraints are never knowingly "
@@ -105,8 +102,6 @@ int main() {
                             "mean backoff (h)"});
   int safety_failures = 0;
   int billing_failures = 0;
-  double attempts_total = 0.0, probes_total = 0.0, backoff_total = 0.0;
-  int guaranteed_total = 0, denied_total = 0;
   for (const double rate : {0.0, 0.1, 0.3}) {
     for (const Case& c : cases) {
       int guaranteed = 0, denied = 0, violations = 0;
@@ -162,50 +157,20 @@ int main() {
                          probes_sum > 0 ? attempts_sum / probes_sum : 0.0,
                          2),
                      util::fmt_fixed(backoff_sum / 10.0, 2)});
-      attempts_total += attempts_sum;
-      probes_total += probes_sum;
-      backoff_total += backoff_sum;
-      guaranteed_total += guaranteed;
-      denied_total += denied;
     }
   }
   table.print();
-
-  // Seeded sweep — these counts are deterministic, so tight windows.
-  const auto add_metric = [&metrics](const char* name, const char* unit,
-                                     bool lower_is_better, double value,
-                                     double alert_threshold,
-                                     const char* note = "") {
-    obs::MetricSample sample;
-    sample.name = name;
-    sample.unit = unit;
-    sample.lower_is_better = lower_is_better;
-    sample.values.push_back(value);
-    sample.alert_threshold = alert_threshold;
-    sample.note = note;
-    metrics.add(std::move(sample));
-  };
-  add_metric("safety_violations", "count", true, safety_failures, 0.0,
-             "any nonzero value also hard-fails this gate");
-  add_metric("billing_mismatches", "count", true, billing_failures, 0.0,
-             "any nonzero value also hard-fails this gate");
-  add_metric("guaranteed_runs", "count", false, guaranteed_total, 0.05);
-  add_metric("denied_runs", "count", true, denied_total, 0.05);
-  add_metric("mean_attempts_per_probe", "ratio", true,
-             probes_total > 0 ? attempts_total / probes_total : 0.0, 0.10);
-  add_metric("total_backoff_hours", "hours", true, backoff_total, 0.10,
-             "simulated clock, deterministic per seed set");
 
   if (safety_failures + billing_failures > 0) {
     std::printf("\nCHAOS GATE FAILED: %d safety violation(s), "
                 "%d billing mismatch(es)\n",
                 safety_failures, billing_failures);
-    return bench::finish_metrics(1);
+    return 1;
   }
   bench::print_note(
       "no guaranteed run ever exceeded its deadline or budget, and every "
       "billed dollar traces to a recorded attempt; denied runs (chaos "
       "withheld every compliant point) end flagged VIOLATED, never "
       "silently ok");
-  return bench::finish_metrics(0);
+  return 0;
 }

@@ -5,12 +5,9 @@
 // counts and measures what the service layer exists for — aggregate
 // jobs/sec, cross-job probe-cache reuse, and capacity-queue pressure —
 // plus the determinism contract (per-job reports bit-identical between
-// the serial and the 4-lane schedule). Each series is recorded in its
-// own observatory suite (bench_out/obs/<suite>.json, appended to the
-// history under MLCD_OBS_HISTORY_DIR): pr4-service-gate,
-// pr6-chaos-gate, pr8-durability-gate and pr10-sharded-gate.
-// Regressions against earlier runs are `mlcd perfcheck`'s job; this
-// binary hard-gates the contracts below.
+// the serial and the 4-lane schedule). It prints every series as a
+// table and hard-gates the contracts below; timing regressions between
+// versions are perfbench's job (perfbench/README.md).
 //
 // The contended run puts a probe-dense fleet under hard capacity
 // pressure (a pool the size of one max-size probe, shared cache off).
@@ -26,7 +23,7 @@
 // stay bit-identical to the fault-free run, and the chaotic makespan
 // may exceed the fault-free makespan by at most 25%.
 //
-// Both wall-time ratio gates (chaos makespan, batch manifest) run their
+// Both wall-time ratio gates (chaos makespan, batch log) run their
 // two sides as interleaved pairs and gate the median of the per-pair
 // ratios, printing the pairs' min-max next to the verdict. Each side of
 // a pair is the fastest of three back-to-back runs. A contended batch
@@ -35,20 +32,19 @@
 // pair, not the verdict.
 //
 // The PR-8 durability series re-runs the contended fleet as a durable
-// batch (--journal-dir: write-ahead batch manifest plus one fsync'd run
-// journal per job). Per-probe fsync is the PR-3 run journal's price and
-// dwarfs a *simulated* probe (~5us of work vs ~100us of fsync), so the
-// gated ratio isolates what the batch layer adds on top: both sides
-// carry per-job run journals — the reference run declares one per job,
-// the durable batch auto-manages them — and the ratio measures the
-// batch manifest alone (one header + three lifecycle records per job),
-// gated < 5% of the contended batch's wall time. The full cost of
-// per-probe durability vs the bare fleet is reported ungated as
-// durability_overhead_ratio: against real probes (minutes to hours) a
-// fsync is noise, but against simulated probes it would gate nothing
-// except the runner's disk. Also gated: the probe-free replay of the
-// finished batch via --resume (every report bit-identical to the fresh
-// run, zero probes re-executed).
+// batch (--journal-dir: one group-committed batch log, batch.mlcdb,
+// holding every job's lifecycle and probe records). Both sides of the
+// gated ratio make every probe durable before admitting it: the
+// reference run declares one fsync'd run journal per job (one fsync per
+// probe), the durable batch commits its log in rounds (one fsync per
+// round). The ratio, durable batch over per-job journals, is gated
+// < 1.05: the batch log must never cost more than per-job journals.
+// The full cost of per-probe durability vs the bare fleet is reported
+// ungated as durability_overhead_ratio: against real probes (minutes to
+// hours) a fsync is noise, but against simulated probes it would gate
+// nothing except the runner's disk. Also gated: the probe-free replay
+// of the finished batch via --resume (every report bit-identical to the
+// fresh run, zero probes re-executed).
 //
 // The PR-10 sharded-core series stresses the low-contention service
 // core at scale: a 128-session fleet over 8 tenants, swept across
@@ -59,11 +55,6 @@
 // fire, the cache runs striped, and — on machines with >= 4 cores —
 // the 4-lane speedup exceeds 1.0x and the 16-lane idle fraction stays
 // under 0.35.
-//
-// Absolute jobs/sec are machine-dependent; the ratios perfcheck alerts
-// on (the t4-vs-serial speedup, the probe-cache hit rate, the chaos
-// and journal throughput ratios) are dimensionless and cancel machine
-// speed out.
 //
 // Usage:
 //   bench_service_throughput [--quick]
@@ -275,14 +266,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Opening the suites up front starts the observatory's resource
-  // probe (wall time, RSS, allocations) for the whole run; all four
-  // suites share this binary, so each history record carries the series.
-  bench::metrics("pr4-service-gate");
-  bench::metrics("pr6-chaos-gate");
-  bench::metrics("pr8-durability-gate");
-  bench::metrics("pr10-sharded-gate");
-
   const int trials = quick ? 2 : 5;
   // Pairs behind each wall-time ratio gate; odd, so the median is a pair.
   const int pairs = quick ? 9 : 15;
@@ -408,7 +391,6 @@ int main(int argc, char** argv) {
 
   for (const auto& [name, value] : metrics) {
     std::printf("  %-34s %.4g\n", name.c_str(), value);
-    bench::record_gate_metric("pr4-service-gate", name, value);
   }
   std::printf("  %-34s %s (%d jobs)\n", "batch_reports_identical_t1_t4",
               identical ? "yes" : "NO", static_cast<int>(n_jobs));
@@ -461,7 +443,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(chaotic.chaos.seed));
   for (const auto& [name, value] : pr6_metrics) {
     std::printf("  %-34s %.4g\n", name.c_str(), value);
-    bench::record_gate_metric("pr6-chaos-gate", name, value);
   }
   std::printf("  %-34s %s\n", "chaos_all_jobs_ok",
               chaos_all_ok ? "yes" : "NO");
@@ -573,7 +554,6 @@ int main(int argc, char** argv) {
       dir8.c_str());
   for (const auto& [name, value] : pr8_metrics) {
     std::printf("  %-34s %.4g\n", name.c_str(), value);
-    bench::record_gate_metric("pr8-durability-gate", name, value);
   }
   std::printf("  %-34s %s\n", "self_journaled_reports_identical",
               self_identical ? "yes" : "NO");
@@ -581,7 +561,7 @@ int main(int argc, char** argv) {
               journaled_identical ? "yes" : "NO");
   std::printf("  %-34s %s\n", "replayed_reports_identical",
               replay_identical ? "yes" : "NO");
-  std::printf("  batch manifest gate: median pair ratio %.3f "
+  std::printf("  batch log gate: median pair ratio %.3f "
               "[%.3f-%.3f over %d pairs], budget < 1.05: %s\n",
               journal_overhead_ratio, journal_pairs.min(), journal_pairs.max(),
               pairs, journal_overhead_ratio < 1.05 ? "pass" : "FAIL");
@@ -647,7 +627,6 @@ int main(int argc, char** argv) {
       static_cast<int>(n10));
   for (const auto& [name, value] : pr10_metrics) {
     std::printf("  %-34s %.4g\n", name.c_str(), value);
-    bench::record_gate_metric("pr10-sharded-gate", name, value);
   }
   std::printf("  %-34s %s\n", "reports_identical_l1_l2_l4_l16",
               sweep_identical ? "yes" : "NO");
@@ -678,7 +657,7 @@ int main(int argc, char** argv) {
   }
   if (journal_overhead_ratio >= 1.05) {
     std::fprintf(stderr,
-                 "GATE FAIL: the batch manifest inflated the contended "
+                 "GATE FAIL: the batch log inflated the contended "
                  "makespan %.1f%% over per-job journals (>= 5%% "
                  "budget; median of %d pairs, range %.3f-%.3f)\n",
                  100.0 * (journal_overhead_ratio - 1.0), pairs,
@@ -780,5 +759,5 @@ int main(int argc, char** argv) {
   }
 
   if (ok) std::printf("gate passed\n");
-  return bench::finish_metrics(ok ? 0 : 1);
+  return ok ? 0 : 1;
 }

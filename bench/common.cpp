@@ -1,34 +1,12 @@
 #include "common.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <memory>
 
-#include "obs/gate_metrics.hpp"
-#include "obs/history.hpp"
 #include "search/registry.hpp"
 
 namespace mlcd::bench {
-
-namespace {
-
-// One probe for the whole binary, started when the first registry is
-// created: the resource series cover the run, not the last suite.
-struct ObsState {
-  obs::ResourceProbe probe;
-  // std::map keeps flush order deterministic across runs.
-  std::map<std::string, std::unique_ptr<obs::MetricRegistry>> registries;
-};
-
-ObsState& obs_state() {
-  static ObsState state;
-  return state;
-}
-
-}  // namespace
 
 void print_header(const std::string& figure, const std::string& paper_setup,
                   const std::string& repro_setup) {
@@ -88,60 +66,6 @@ search::SearchResult run_method(const perf::TrainingPerfModel& perf,
                                 const std::string& method) {
   return search::SearcherRegistry::instance().create(method, perf)->run(
       problem);
-}
-
-obs::MetricRegistry& metrics(const std::string& suite) {
-  ObsState& state = obs_state();
-  auto it = state.registries.find(suite);
-  if (it == state.registries.end()) {
-    it = state.registries
-             .emplace(suite, std::make_unique<obs::MetricRegistry>(suite))
-             .first;
-  }
-  return *it->second;
-}
-
-void record_gate_metric(const std::string& suite, const std::string& name,
-                        double value) {
-  metrics(suite).add(obs::gate_metric(suite, name, value));
-}
-
-int finish_metrics(int exit_code) {
-  ObsState& state = obs_state();
-  if (state.registries.empty()) return exit_code;
-
-  const char* run_id_env = std::getenv("MLCD_OBS_RUN_ID");
-  const std::string run_id =
-      run_id_env != nullptr && *run_id_env != '\0' ? run_id_env : "local";
-  const char* history_env = std::getenv("MLCD_OBS_HISTORY_DIR");
-
-  const std::string obs_dir = bench_out_dir() + "/obs";
-  std::filesystem::create_directories(obs_dir);
-  int code = exit_code;
-  for (const auto& [suite, registry] : state.registries) {
-    registry->record_resources(state.probe);
-    const obs::HistoryRecord record = registry->snapshot(run_id);
-    {
-      std::ofstream out(obs_dir + "/" + suite + ".json",
-                        std::ios::binary | std::ios::trunc);
-      out << record.to_json() << "\n";
-    }
-    if (history_env != nullptr && *history_env != '\0') {
-      try {
-        obs::append_history(obs::history_path(history_env, suite), record);
-        std::printf("obs   : %s -> %s (run %s, %zu metrics)\n",
-                    suite.c_str(),
-                    obs::history_path(history_env, suite).c_str(),
-                    run_id.c_str(), record.metrics.size());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "obs   : history append failed: %s\n",
-                     e.what());
-        if (code == 0) code = 1;
-      }
-    }
-  }
-  state.registries.clear();
-  return code;
 }
 
 }  // namespace mlcd::bench

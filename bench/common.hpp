@@ -1,7 +1,7 @@
 // Shared helpers for the bench binaries: the paper-claims driver and the
 // gate benches. They build the same workload/space/scenario objects the
-// paper's experiments use, print banners and notes, dump raw series as
-// CSV under ./bench_out/, and record the observatory's metric suites.
+// paper's experiments use, print banners and notes, and dump raw series
+// as CSV under ./bench_out/.
 #pragma once
 
 #include <memory>
@@ -12,7 +12,6 @@
 #include "cloud/deployment.hpp"
 #include "cloud/instance.hpp"
 #include "models/model_zoo.hpp"
-#include "obs/registry.hpp"
 #include "perf/perf_model.hpp"
 #include "search/exhaustive.hpp"  // optimal_deployment(), used by benches
 #include "search/scenario.hpp"
@@ -56,26 +55,5 @@ search::SearchProblem make_problem(const perf::TrainingConfig& config,
 search::SearchResult run_method(const perf::TrainingPerfModel& perf,
                                 const search::SearchProblem& problem,
                                 const std::string& method);
-
-/// The bench's MetricRegistry for `suite` (created on first use; a
-/// binary that feeds several time-series — bench_perf_gate emits both
-/// the pr2 and pr7 suites — holds one registry per suite). All open
-/// registries are flushed by finish_metrics().
-obs::MetricRegistry& metrics(const std::string& suite);
-
-/// Shorthand: records `value` into `suite` with the gate_metrics()
-/// catalog metadata for `name`.
-void record_gate_metric(const std::string& suite, const std::string& name,
-                        double value);
-
-/// End-of-run flush, designed as `return bench::finish_metrics(code)`:
-/// appends the process resource series (wall time, peak RSS, allocation
-/// counters) to every open registry, writes each suite's record to
-/// bench_out/obs/<suite>.json, and — when MLCD_OBS_HISTORY_DIR is set —
-/// appends it to the committed time-series under that directory, tagged
-/// MLCD_OBS_RUN_ID (default "local"). Returns `exit_code` unchanged on
-/// success; a failed history append turns a passing run into exit 1 so
-/// CI cannot silently drop a record.
-int finish_metrics(int exit_code);
 
 }  // namespace mlcd::bench

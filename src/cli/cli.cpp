@@ -12,7 +12,6 @@
 
 #include "cli/args.hpp"
 #include "cloud/catalog_io.hpp"
-#include "obs/perfcheck.hpp"
 #include "journal/journal.hpp"
 #include "search/registry.hpp"
 #include "search/trace_io.hpp"
@@ -37,8 +36,6 @@ usage:
   mlcd models                            list the model zoo
   mlcd instances [--family <f>]          list the instance catalog
   mlcd export-catalog --out <file.csv>   dump the built-in catalog as CSV
-  mlcd perfcheck [options]               check the committed perf
-                                         time-series for regressions
   mlcd help                              this text
 
 deploy/compare options:
@@ -148,21 +145,6 @@ object per flag — see docs/chaos.md):
   --chaos-revocation-rate <p>   per-step spot-revocation hazard [0]
   --chaos-probe-loss-rate <p>   per-step result-loss hazard     [0]
   --chaos-stall-rate <p>        per-step scheduler-stall hazard [0]
-
-perfcheck options (regression alerting; see docs/observability.md):
-  --history-dir <dir>   committed suite time-series    [bench_out/history]
-  --suite <name>        check one suite instead of every history file
-  --window <n>          rolling-baseline records per metric          [5]
-  --min-noise <p>       floor on the allowed relative movement    [0.02]
-  --threads <n>         evaluate min_threads gates against this count
-                        instead of the latest record's own
-  --verbose             list every metric, not just regressions
-
-perfcheck exit codes:
-  0  every alerting metric within its allowed window
-  1  regressions (or alerting metrics missing from the latest run)
-  2  usage error (bad flags)
-  3  history unreadable, malformed, or absent
 )";
 
 int usage_error(std::ostream& err, const std::string& message) {
@@ -198,9 +180,6 @@ const std::map<std::string, std::vector<std::string>>& command_options() {
         {"models", {}},
         {"instances", {"family"}},
         {"export-catalog", {"out"}},
-        {"perfcheck",
-         {"history-dir", "suite", "window", "min-noise", "threads",
-          "verbose"}},
     };
   }();
   return kOptions;
@@ -519,37 +498,6 @@ int cmd_instances(const Args& args, std::ostream& out) {
   return 0;
 }
 
-int cmd_perfcheck(const Args& args, std::ostream& out, std::ostream& err) {
-  try {
-    obs::PerfcheckOptions options;
-    options.history_dir = args.get_or("history-dir", "bench_out/history");
-    if (const auto suite = args.get("suite")) {
-      options.suite_filter = *suite;
-    }
-    options.window = parse_positive_int(args.get_or("window", "5"));
-    if (const auto noise = args.get("min-noise")) {
-      options.min_noise = parse_fraction(*noise);
-    }
-    if (const auto threads = args.get("threads")) {
-      options.hardware_threads = parse_positive_int(*threads);
-    }
-
-    obs::PerfcheckReport report;
-    try {
-      report = obs::run_perfcheck(options);
-    } catch (const std::exception& e) {
-      // Exit 3, mirroring batch: the history artifact is broken or
-      // absent — distinct from flag mistakes (2).
-      err << "mlcd: " << e.what() << "\n";
-      return 3;
-    }
-    out << report.render(args.has("verbose"));
-    return report.alert_count() > 0 ? 1 : 0;
-  } catch (const std::invalid_argument& e) {
-    return usage_error(err, e.what());
-  }
-}
-
 }  // namespace
 
 int batch_exit_code(const service::BatchReport& report) {
@@ -580,9 +528,6 @@ int run(int argc, const char* const* argv, std::ostream& out,
     // resume from.
     if (argc > 1 && std::string(argv[1]) == "batch") {
       flags.push_back("resume");
-    }
-    if (argc > 1 && std::string(argv[1]) == "perfcheck") {
-      flags.push_back("verbose");
     }
     args = Args::parse(argc, argv, flags);
   } catch (const std::invalid_argument& e) {
@@ -622,7 +567,6 @@ int run(int argc, const char* const* argv, std::ostream& out,
   if (command == "searchers") return cmd_searchers(out);
   if (command == "models") return cmd_models(out);
   if (command == "instances") return cmd_instances(args, out);
-  if (command == "perfcheck") return cmd_perfcheck(args, out, err);
   // export-catalog: the last command command_options() admits.
   const auto path = args.get("out");
   if (!path) return usage_error(err, "--out is required");

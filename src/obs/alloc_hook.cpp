@@ -3,11 +3,11 @@
 //
 // This translation unit is NOT part of mlcd_obs — it ships as the
 // `mlcd_obs_alloc` interface library, which compiles it directly into
-// each binary that opts into allocation accounting (every bench target,
-// the obs tests). Replacing the global operators is the one mechanism
+// each binary that opts into allocation accounting (perfbench and the
+// allocation-guard tests). Replacing the global operators is the one mechanism
 // that sees every allocation in the process — STL containers, strings,
 // closures — without touching a single call site, and a pair of relaxed
-// fetch_adds is cheap enough to leave on for whole bench runs.
+// fetch_adds is cheap enough to leave on for whole benchmark runs.
 //
 // Rules honored here:
 //   * the throwing forms loop over std::get_new_handler() before

@@ -1,6 +1,5 @@
 #include "obs/resource.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include <sys/resource.h>
@@ -49,29 +48,6 @@ std::uint64_t peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // Linux reports ru_maxrss in kilobytes.
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
-}
-
-ResourceProbe::ResourceProbe()
-    : start_nanos_(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count())),
-      start_(alloc_counters()) {}
-
-double ResourceProbe::wall_seconds() const {
-  const auto now = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return static_cast<double>(now - start_nanos_) * 1e-9;
-}
-
-AllocCounters ResourceProbe::alloc_delta() const {
-  const AllocCounters now = alloc_counters();
-  AllocCounters delta;
-  delta.allocations = now.allocations - start_.allocations;
-  delta.bytes = now.bytes - start_.bytes;
-  return delta;
 }
 
 }  // namespace mlcd::obs

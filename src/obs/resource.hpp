@@ -1,19 +1,18 @@
-// Process-wide resource probes: wall time, peak RSS, and a thread-safe
-// allocation counter.
+// Process-wide resource probes: peak RSS and a thread-safe allocation
+// counter.
 //
-// Memory was entirely unmeasured before the observatory; these probes
-// are how every latency series gains a paired memory series for free
-// (MetricRegistry::record_resources). Peak RSS comes from
-// getrusage(RUSAGE_SELF); allocation counts come from replacement
-// global operator new/delete (alloc_hook.cpp) bumping relaxed atomics —
-// cheap enough to stay on for whole bench binaries, exact enough to be
-// deterministic for deterministic workloads.
+// perfbench reads both for its peak_rss_mb and alloc.* metrics, and the
+// allocation guards in the tests count operator new calls with them.
+// Peak RSS comes from VmHWM (getrusage as the fallback); allocation
+// counts come from replacement global operator new/delete
+// (alloc_hook.cpp) bumping relaxed atomics — cheap enough to stay on
+// for a whole benchmark run, exact enough to be deterministic for
+// deterministic workloads.
 //
 // The hook is opt-in per binary: link `mlcd_obs_alloc` (an interface
 // library that compiles alloc_hook.cpp into the consumer) and
 // alloc_hook_active() turns true. Binaries that skip it still build and
-// run; alloc_counters() just reports zeros and the registry omits the
-// allocation series rather than publishing fake ones.
+// run; alloc_counters() just reports zeros.
 #pragma once
 
 #include <atomic>
@@ -38,22 +37,6 @@ bool alloc_hook_active();
 /// /proc/self/status, falling back to getrusage's ru_maxrss where that
 /// line is absent. 0 when the platform cannot report either.
 std::uint64_t peak_rss_bytes();
-
-/// Snapshot probe: construct at the start of the region of interest,
-/// read deltas at the end. Wall time uses the steady clock; simulated
-/// time inside experiments never flows through here (see
-/// util/stopwatch.hpp for the same rule).
-class ResourceProbe {
- public:
-  ResourceProbe();
-
-  double wall_seconds() const;
-  AllocCounters alloc_delta() const;
-
- private:
-  std::uint64_t start_nanos_ = 0;
-  AllocCounters start_;
-};
 
 namespace detail {
 

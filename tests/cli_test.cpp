@@ -149,9 +149,14 @@ TEST(CliRun, NoArgsIsHelp) {
 }
 
 TEST(CliRun, UnknownCommandIsUsageError) {
-  std::string err;
-  EXPECT_EQ(drive({"frobnicate"}, nullptr, &err), 2);
-  EXPECT_NE(err.find("unknown command"), std::string::npos);
+  // The removed regression checker's name is refused like any other.
+  for (const char* command : {"frobnicate", "perfcheck"}) {
+    std::string err;
+    EXPECT_EQ(drive({command}, nullptr, &err), 2) << command;
+    EXPECT_NE(err.find("unknown command '" + std::string(command) + "'"),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(CliRun, UnknownOptionIsUsageError) {
@@ -183,7 +188,6 @@ TEST(CliRun, UnexpectedArgumentIsUsageError) {
     std::vector<const char*> argv;
     std::string word;
   } cases[] = {
-      {{"perfcheck", "migrate", "BENCH_PR2.json"}, "migrate"},
       {{"models", "extra"}, "extra"},
       {{"batch", "w.json", "x.json"}, "x.json"},
   };

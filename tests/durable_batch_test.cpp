@@ -9,6 +9,8 @@
 // batch comes back bit-identical. See docs/crash-safety.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -1263,11 +1265,9 @@ TEST(CapacityRevocation, OverRevokeClampsToOccupancy) {
 
 #if defined(MLCD_HAVE_POSIX_SPAWN) && defined(MLCD_CLI_BIN)
 
-/// Spawns `mlcd batch` against `workload`, optionally SIGKILLs it after
-/// `kill_after_us`, and returns the exit code (-1 when killed).
-int run_batch(const std::string& workload, const std::string& dir,
-              const std::string& out, bool resume,
-              long kill_after_us = -1) {
+/// Forks and execs `mlcd batch` against `workload`, output discarded.
+pid_t spawn_batch(const std::string& workload, const std::string& dir,
+                  const std::string& out, bool resume) {
   const pid_t pid = fork();
   if (pid == 0) {
     std::freopen("/dev/null", "w", stdout);
@@ -1281,6 +1281,15 @@ int run_batch(const std::string& workload, const std::string& dir,
     execv(MLCD_CLI_BIN, const_cast<char* const*>(argv.data()));
     _exit(127);
   }
+  return pid;
+}
+
+/// Spawns `mlcd batch` against `workload`, optionally SIGKILLs it after
+/// `kill_after_us`, and returns the exit code (-1 when killed).
+int run_batch(const std::string& workload, const std::string& dir,
+              const std::string& out, bool resume,
+              long kill_after_us = -1) {
+  const pid_t pid = spawn_batch(workload, dir, out, resume);
   if (kill_after_us >= 0) {
     usleep(static_cast<useconds_t>(kill_after_us));
     kill(pid, SIGKILL);
@@ -1288,6 +1297,39 @@ int run_batch(const std::string& workload, const std::string& dir,
   int status = 0;
   waitpid(pid, &status, 0);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// A fresh `mlcd batch` run to completion, timed from the fork: when
+/// `dir/batch.mlcdb` first appeared (polled; -1 if never seen) and when
+/// the process exited.
+struct BatchTiming {
+  int rc = -1;
+  long log_us = -1;
+  long exit_us = 0;
+};
+
+BatchTiming time_batch(const std::string& workload, const std::string& dir,
+                       const std::string& out) {
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed_us = [&start] {
+    return static_cast<long>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  };
+  const pid_t pid = spawn_batch(workload, dir, out, false);
+  BatchTiming timing;
+  int status = 0;
+  while (waitpid(pid, &status, WNOHANG) == 0) {
+    if (timing.log_us < 0 &&
+        std::filesystem::exists(dir + "/batch.mlcdb")) {
+      timing.log_us = elapsed_us();
+    }
+    usleep(20);
+  }
+  timing.exit_us = elapsed_us();
+  timing.rc = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return timing;
 }
 
 /// The trace array of one job in a BatchReport JSON document, with the
@@ -1321,20 +1363,28 @@ TEST(KillHarness, KillPointSweepResumesBitIdentically) {
   ]})");
 
   // The uninterrupted run is the golden batch every kill point must
-  // reproduce.
+  // reproduce. It is timed: from the fork to the log's appearance, and
+  // to the process's exit.
   const std::string golden_dir = fresh_dir("kill_golden");
   const std::string golden_out = temp_path("kill_golden.json");
-  ASSERT_EQ(run_batch(workload, golden_dir, golden_out, false), 0);
+  const BatchTiming golden_run = time_batch(workload, golden_dir, golden_out);
+  ASSERT_EQ(golden_run.rc, 0);
   const std::string golden = read_file(golden_out);
   ASSERT_NE(golden.find("\"schema_version\":6"), std::string::npos);
 
-  // Seeded sweep of kill points across the batch's lifetime: before the
-  // manifest exists, mid-first-job, mid-batch, and after completion.
+  // Two early kill points (at process start-up, before the log exists)
+  // plus six seeded points inside the golden run's measured lifetime
+  // with the log on disk, so the sweep kills while the batch runs rather
+  // than before it starts or after it has ended.
+  const long live_from_us = std::max(0L, golden_run.log_us);
+  const auto live_us = static_cast<std::uint64_t>(
+      std::max(1L, golden_run.exit_us - live_from_us));
   std::uint64_t state = 42;
   std::vector<long> kill_points_us = {0, 500};
   for (int i = 0; i < 6; ++i) {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    kill_points_us.push_back(static_cast<long>(state % 40000));  // < 40 ms
+    kill_points_us.push_back(live_from_us +
+                             static_cast<long>(state % live_us));
   }
 
   for (const long kill_after_us : kill_points_us) {

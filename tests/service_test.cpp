@@ -1360,6 +1360,11 @@ TEST(ServiceStress, ThirtyTwoJobsBitIdenticalWithQuotaAndCapacity) {
     // sequences are served from the cache.
     EXPECT_GT(report.total_cache_hits(), 0);
     EXPECT_EQ(report.cache.hits, report.total_cache_hits());
+    // Each distinct probe is inserted once however the lanes interleave
+    // (a racing duplicate's insert is refused), so the insert count is
+    // a property of the fleet. Hits are not: a lookup that races the
+    // probe still in flight misses and measures it again.
+    EXPECT_EQ(report.cache.inserts, 187);
 
     // Per-tenant constraint safety under contention: the solo-identity
     // proven above already implies it, but assert the user-facing form
