@@ -105,9 +105,6 @@ batch options (multi-tenant scheduler; see docs/service.md):
                         nodes; over-capacity probes queue      [unlimited]
   --tenant-quota <n>    max concurrent jobs per tenant         [unlimited]
   --no-share            disable the cross-job probe cache
-  --cache-stripes <n>   probe-cache stripe count (power of two);
-                        more stripes = less lock contention
-                        between lanes                          [16]
   --json                emit the BatchReport as JSON
   --out <file.json>     also write the BatchReport JSON here
 
@@ -172,9 +169,9 @@ const std::map<std::string, std::vector<std::string>>& command_options() {
         {"deploy", deploy},
         {"compare", kRequest},
         {"batch",
-         {"threads", "capacity", "tenant-quota", "no-share", "cache-stripes",
-          "json", "out", "journal-dir", "resume", "journal-on-error",
-          "chaos-seed", "chaos-lane-crash-rate", "chaos-revocation-rate",
+         {"threads", "capacity", "tenant-quota", "no-share", "json", "out",
+          "journal-dir", "resume", "journal-on-error", "chaos-seed",
+          "chaos-lane-crash-rate", "chaos-revocation-rate",
           "chaos-probe-loss-rate", "chaos-stall-rate"}},
         {"searchers", {}},
         {"models", {}},
@@ -418,14 +415,6 @@ int cmd_batch(const Args& args, std::ostream& out, std::ostream& err) {
                          "manifest to resume from lives there)");
     }
     options.journal_on_error = parse_journal_on_error(args);
-    // Cache striping: the workload file may pin it; the CLI flag wins
-    // when both are given.
-    if (workload.cache_stripes >= 0) {
-      options.cache_stripes = workload.cache_stripes;
-    }
-    if (const auto stripes = args.get("cache-stripes")) {
-      options.cache_stripes = parse_positive_int(*stripes);
-    }
 
     const system::Mlcd mlcd;
     const service::Scheduler scheduler(mlcd, options);

@@ -1,35 +1,15 @@
 #include "service/probe_cache.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace mlcd::service {
 
-namespace {
-
-bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
-
-}  // namespace
-
-ProbeCache::ProbeCache(int stripes) {
-  const int count = stripes == 0 ? kDefaultStripes : stripes;
-  if (!is_power_of_two(count)) {
-    throw std::invalid_argument(
-        "ProbeCache: stripe count must be a power of two (got " +
-        std::to_string(stripes) + ")");
-  }
-  stripes_.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
-  mask_ = static_cast<std::size_t>(count) - 1;
-}
+static_assert((ProbeCache::kStripes & (ProbeCache::kStripes - 1)) == 0,
+              "the stripe index is a mask of the key hash");
 
 ProbeCache::Stripe& ProbeCache::stripe_for(const profiler::ProbeKey& key) {
   // The low bits of ProbeKeyHash pick the stripe; the map inside the
   // stripe re-hashes with the same function, which is fine — a stripe's
   // keys share only their low bits, not their full hash.
-  return *stripes_[profiler::ProbeKeyHash{}(key) & mask_];
+  return stripes_[profiler::ProbeKeyHash{}(key) & (kStripes - 1)];
 }
 
 std::optional<journal::ProbeRecord> ProbeCache::lookup(
@@ -61,24 +41,24 @@ bool ProbeCache::insert(const profiler::ProbeKey& key,
 
 ProbeCache::Stats ProbeCache::stats() const {
   Stats out;
-  out.stripes = stripe_count();
+  out.stripes = kStripes;
   std::size_t largest = 0;
-  for (const std::unique_ptr<Stripe>& stripe : stripes_) {
-    out.lookups += stripe->lookups.load(std::memory_order_relaxed);
-    out.hits += stripe->hits.load(std::memory_order_relaxed);
-    out.inserts += stripe->inserts.load(std::memory_order_relaxed);
-    out.rejected += stripe->rejected.load(std::memory_order_relaxed);
+  for (const Stripe& stripe : stripes_) {
+    out.lookups += stripe.lookups.load(std::memory_order_relaxed);
+    out.hits += stripe.hits.load(std::memory_order_relaxed);
+    out.inserts += stripe.inserts.load(std::memory_order_relaxed);
+    out.rejected += stripe.rejected.load(std::memory_order_relaxed);
     std::size_t size = 0;
     {
-      std::lock_guard<std::mutex> lock(stripe->mutex);
-      size = stripe->records.size();
+      std::lock_guard<std::mutex> lock(stripe.mutex);
+      size = stripe.records.size();
     }
     out.size += size;
     largest = size > largest ? size : largest;
   }
   if (out.size > 0) {
     const double mean = static_cast<double>(out.size) /
-                        static_cast<double>(stripes_.size());
+                        static_cast<double>(kStripes);
     out.max_stripe_imbalance = static_cast<double>(largest) / mean;
   }
   return out;

@@ -9,8 +9,8 @@
 // profiler/probe_gate.hpp for why a key match implies a bit-identical
 // outcome, which is what keeps batch traces equal to solo traces.
 //
-// The map is sharded into N power-of-two stripes keyed by the ProbeKey
-// hash: concurrent lanes looking up or publishing *different* keys take
+// The map is sharded into kStripes stripes keyed by the ProbeKey hash:
+// concurrent lanes looking up or publishing *different* keys take
 // different stripe mutexes, so the cache stops being the fleet-wide
 // serialization point it was as a single-mutex map. Sharding is
 // invisible to the replay semantics — which stripe a key lands on never
@@ -26,14 +26,13 @@
 // lookups reads a recent — not torn — snapshot.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "journal/journal.hpp"
 #include "profiler/probe_gate.hpp"
@@ -44,8 +43,8 @@ namespace mlcd::service {
 /// sharded over independently locked stripes.
 class ProbeCache {
  public:
-  /// Default stripe count when the caller passes 0 (auto).
-  static constexpr int kDefaultStripes = 16;
+  /// Stripe count (a power of two: the low hash bits pick the stripe).
+  static constexpr int kStripes = 16;
 
   struct Stats {
     std::int64_t lookups = 0;
@@ -61,10 +60,6 @@ class ProbeCache {
     double max_stripe_imbalance = 0.0;
   };
 
-  /// `stripes` must be 0 (= kDefaultStripes) or a power of two; throws
-  /// std::invalid_argument otherwise.
-  explicit ProbeCache(int stripes = 0);
-
   /// The record published under `key`, if any.
   std::optional<journal::ProbeRecord> lookup(const profiler::ProbeKey& key);
 
@@ -73,10 +68,6 @@ class ProbeCache {
   /// Returns true when this call inserted the record.
   bool insert(const profiler::ProbeKey& key,
               const journal::ProbeRecord& record);
-
-  int stripe_count() const noexcept {
-    return static_cast<int>(stripes_.size());
-  }
 
   /// Aggregated across stripes. Safe to call while lanes are live: the
   /// counters are relaxed atomics, so the snapshot is recent and
@@ -99,10 +90,7 @@ class ProbeCache {
 
   Stripe& stripe_for(const profiler::ProbeKey& key);
 
-  // unique_ptr elements: Stripe is neither movable nor copyable (mutex,
-  // atomics), and the vector is sized once in the constructor.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::size_t mask_ = 0;  ///< stripes_.size() - 1 (power-of-two index mask)
+  std::array<Stripe, kStripes> stripes_;
 };
 
 }  // namespace mlcd::service

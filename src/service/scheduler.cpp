@@ -1018,14 +1018,6 @@ Scheduler::Scheduler(const system::Mlcd& mlcd, SchedulerOptions options)
   if (options_.tenant_max_jobs < 0) {
     throw std::invalid_argument("Scheduler: negative tenant_max_jobs");
   }
-  if (options_.cache_stripes < 0 ||
-      (options_.cache_stripes > 0 &&
-       (options_.cache_stripes & (options_.cache_stripes - 1)) != 0)) {
-    throw std::invalid_argument(
-        "Scheduler: cache_stripes must be 0 (default) or a power of two "
-        "(got " +
-        std::to_string(options_.cache_stripes) + ")");
-  }
 }
 
 BatchReport Scheduler::run(const Workload& workload) const {
@@ -1078,7 +1070,7 @@ BatchReport Scheduler::run(const Workload& workload) const {
     }
   }
 
-  ProbeCache cache(options_.cache_stripes);
+  ProbeCache cache;
   ProbeCache* shared_cache = options_.share_probes ? &cache : nullptr;
   CapacityPool capacity(options_.capacity_nodes);
 

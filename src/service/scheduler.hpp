@@ -63,14 +63,8 @@ struct SchedulerOptions {
   /// Max concurrently-running jobs per tenant; 0 = unlimited.
   int tenant_max_jobs = 0;
   /// Route probes through the shared cross-job cache (on by default;
-  /// the bench switches it off to measure its contribution).
+  /// off, every probe launches live).
   bool share_probes = true;
-  /// Probe-cache stripe count: 0 (default) picks
-  /// ProbeCache::kDefaultStripes; otherwise must be a power of two
-  /// (validated at construction). More stripes = less lock contention
-  /// between lanes publishing/looking up different probes; the report's
-  /// probe_cache.stripe_max_imbalance shows how evenly keys spread.
-  int cache_stripes = 0;
   /// Non-empty makes the batch durable: the scheduler writes one
   /// group-committed write-ahead log, `batch.mlcdb`, under this directory
   /// (created if missing) — the roster, each job's lifecycle, and every

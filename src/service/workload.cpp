@@ -8,6 +8,7 @@
 #include <string>
 
 #include "profiler/fidelity.hpp"
+#include "service/probe_cache.hpp"
 #include "util/json.hpp"
 
 namespace mlcd::service {
@@ -212,12 +213,9 @@ Workload parse_workload(std::string_view json) {
     }
   }
   if (doc.contains("cache_stripes")) {
-    const int stripes = int_field(doc, "cache_stripes", 0, 0);
-    if (stripes > 0 && (stripes & (stripes - 1)) != 0) {
-      fail("'cache_stripes' must be 0 (default) or a power of two (got " +
-           std::to_string(stripes) + ")");
-    }
-    workload.cache_stripes = stripes;
+    // The stripe count is fixed; a file pinning it must not look tuned.
+    fail("'cache_stripes' was removed; the probe cache always runs " +
+         std::to_string(ProbeCache::kStripes) + " stripes (drop the key)");
   }
   const auto& jobs = doc.at("jobs").as_array();
   if (jobs.empty()) fail("'jobs' must not be empty");

@@ -40,10 +40,6 @@
 //                                         //   ("probe" is an alias;
 //                                         //   "central" and "job" were
 //                                         //   removed and are refused)
-//     "cache_stripes": 16,                // optional probe-cache stripe
-//                                         //   count (power of two; the
-//                                         //   --cache-stripes flag
-//                                         //   overrides)
 //     "chaos": {                          // optional fault injection
 //       "seed": 7,                        // (docs/chaos.md)
 //       "lane_crash_rate": 0.05,
@@ -98,9 +94,6 @@ struct Workload {
 
   std::vector<JobSpec> jobs;
   ChaosOptions chaos;
-  /// Probe-cache stripe count the workload asks for: 0 = the built-in
-  /// default, otherwise a power of two. -1 = unset (CLI decides).
-  int cache_stripes = -1;
 };
 
 /// Parses a workload document. Throws std::invalid_argument on

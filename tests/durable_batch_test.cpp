@@ -1103,6 +1103,74 @@ TEST(DurableBatch, OneFourAndSixteenLanesLogIdenticalReports) {
   }
 }
 
+/// Six exhaustive searches probing back-to-back through an 8-node pool
+/// with the shared cache off: every probe launches live, so every probe
+/// is a durable record.
+Workload contended_fleet() {
+  static constexpr const char* kModels[] = {"resnet", "alexnet"};
+  Workload workload;
+  for (int j = 0; j < 6; ++j) {
+    JobSpec spec;
+    spec.tenant = "t" + std::to_string(j);
+    spec.name = spec.tenant + "-" + kModels[j % 2];
+    spec.request.model = kModels[j % 2];
+    spec.request.search_method = "exhaustive";
+    spec.request.seed = 100 + static_cast<std::uint64_t>(j);
+    spec.request.max_nodes = 8;
+    spec.request.requirements.deadline_hours = 24.0;
+    workload.jobs.push_back(std::move(spec));
+  }
+  return workload;
+}
+
+// The batch log costs no more than the per-job run journals it stands
+// in for: on the contended fleet its bytes stay under 1.05x theirs, and
+// it never commits more often than their one fsync per record, at 1 and
+// 4 lanes alike. Both ways of journaling stay trace-neutral.
+TEST(DurableBatch, ContendedLogCostsNoMoreThanPerJobJournals) {
+  const Workload workload = contended_fleet();
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  const system::Mlcd mlcd;
+  SchedulerOptions options;
+  options.threads = 4;
+  options.capacity_nodes = 8;  // == every job's max_nodes
+  options.share_probes = false;
+
+  const std::string self_dir = fresh_dir("contended_self");
+  Workload self_journaled = workload;
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    self_journaled.jobs[i].request.journal_path =
+        self_dir + "/job-" + std::to_string(i) + ".mlcdj";
+  }
+  const BatchReport self = Scheduler(mlcd, options).run(self_journaled);
+  std::uintmax_t journal_bytes = 0;
+  for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+    ASSERT_TRUE(self.jobs[i].ok) << self.jobs[i].error_message;
+    EXPECT_EQ(digest_run_report(self.jobs[i].report), solo[i]) << i;
+    journal_bytes +=
+        std::filesystem::file_size(self_journaled.jobs[i].request.journal_path);
+  }
+
+  std::vector<std::uintmax_t> log_bytes;
+  for (const int lanes : {1, 4}) {
+    const std::string dir = fresh_dir("contended_log");
+    options.threads = lanes;
+    options.journal_dir = dir;
+    const BatchReport report = Scheduler(mlcd, options).run(workload);
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      ASSERT_TRUE(report.jobs[i].ok) << report.jobs[i].error_message;
+      EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i])
+          << lanes << " lanes, job " << i;
+    }
+    EXPECT_LE(report.log_commits, report.log_records) << lanes << " lanes";
+    log_bytes.push_back(std::filesystem::file_size(dir + "/batch.mlcdb"));
+  }
+  EXPECT_LT(static_cast<double>(log_bytes[0]), 1.05 * journal_bytes)
+      << log_bytes[0] << " log bytes vs " << journal_bytes
+      << " per-job journal bytes";
+  EXPECT_EQ(log_bytes[1], log_bytes[0]);
+}
+
 // ------------------------------------------------ commit fence under faults
 
 TEST(StorageFaults, FailedCommitLatchesTheLog) {

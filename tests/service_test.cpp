@@ -20,6 +20,7 @@
 #include "search/pareto.hpp"
 #include "search/search_result.hpp"
 #include "search/trace_io.hpp"
+#include "service/batch_journal.hpp"
 #include "service/batch_report.hpp"
 #include "service/capacity.hpp"
 #include "service/chaos.hpp"
@@ -97,6 +98,10 @@ TEST(Workload, RejectsBadDocuments) {
                std::invalid_argument);
   EXPECT_THROW(parse_workload(R"({"jobs": [
       {"name": "a", "model": "resnet", "max_nodes": 0}]})"),
+               std::invalid_argument);
+  // The retired probe-cache stripe knob.
+  EXPECT_THROW(parse_workload(R"({"cache_stripes": 16, "jobs": [
+      {"name": "a", "model": "resnet"}]})"),
                std::invalid_argument);
   // Unknown scheduler mode.
   EXPECT_THROW(parse_workload(R"({"scheduler": "fifo", "jobs": [
@@ -1078,6 +1083,95 @@ TEST(ChaosService, SeededSweepRecoversEveryTenantDeterministically) {
       }
     }
   }
+}
+
+// --------------------------------------------- crash recovery under load
+//
+// The contended fleet: six exhaustive searches probing back-to-back
+// through an 8-node pool with the shared cache off, so every probe
+// launches live and sessions park. A lane-crash rate of 2e-4 per step
+// compounds over ~500 probes a session to a ~10% crash probability per
+// session.
+
+Workload contended_chaos_fleet() {
+  static constexpr const char* kModels[] = {"resnet", "alexnet"};
+  Workload workload;
+  workload.chaos.seed = 20260808;
+  workload.chaos.lane_crash_rate = 2e-4;
+  for (int j = 0; j < 6; ++j) {
+    JobSpec spec;
+    spec.tenant = "t" + std::to_string(j);
+    spec.name = spec.tenant + "-" + kModels[j % 2];
+    spec.request.model = kModels[j % 2];
+    spec.request.search_method = "exhaustive";
+    spec.request.seed = 100 + static_cast<std::uint64_t>(j);
+    spec.request.max_nodes = 8;
+    spec.request.requirements.deadline_hours = 24.0;
+    workload.jobs.push_back(std::move(spec));
+  }
+  return workload;
+}
+
+SchedulerOptions contended_options(int threads) {
+  SchedulerOptions options;
+  options.threads = threads;
+  options.capacity_nodes = 8;  // == every job's max_nodes
+  options.share_probes = false;
+  return options;
+}
+
+struct RecoveryWork {
+  int replayed_steps = 0;
+  int trace_steps = 0;
+};
+
+RecoveryWork recovery_work(const BatchReport& report) {
+  RecoveryWork work;
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_TRUE(job.ok) << job.name << ": " << job.error_message;
+    work.replayed_steps += job.report.result.replayed_probes;
+    work.trace_steps += static_cast<int>(job.report.result.trace.size());
+  }
+  return work;
+}
+
+// What crash recovery costs is replay, never a probe: re-staging the
+// crashed sessions replays under a quarter of the fleet's trace steps,
+// the same count at 1 and 4 lanes, and a durable run of the same batch
+// logs exactly one probe record per trace step (none measured twice).
+TEST(ChaosService, ContendedCrashRecoveryReplaysUnderAQuarterOfTheTrace) {
+  const system::Mlcd mlcd;
+  const Workload workload = contended_chaos_fleet();
+  std::vector<RecoveryWork> runs;
+  for (const int threads : {1, 4}) {
+    const BatchReport report =
+        Scheduler(mlcd, contended_options(threads)).run(workload);
+    EXPECT_GT(report.total_lane_crashes(), 0) << "threads=" << threads;
+    runs.push_back(recovery_work(report));
+  }
+  const RecoveryWork& work = runs[0];
+  EXPECT_GT(work.replayed_steps, 0);
+  EXPECT_LT(work.replayed_steps, 0.25 * work.trace_steps)
+      << work.replayed_steps << " replayed of " << work.trace_steps;
+  EXPECT_EQ(runs[1].replayed_steps, work.replayed_steps);
+  EXPECT_EQ(runs[1].trace_steps, work.trace_steps);
+
+  const std::string dir =
+      (std::filesystem::path(testing::TempDir()) / "mlcd_contended_chaos")
+          .string();
+  std::filesystem::remove_all(dir);
+  SchedulerOptions durable = contended_options(4);
+  durable.journal_dir = dir;
+  const BatchReport report = Scheduler(mlcd, durable).run(workload);
+  EXPECT_EQ(recovery_work(report).replayed_steps, work.replayed_steps);
+  const BatchManifestContents log = read_manifest(dir + "/batch.mlcdb");
+  ASSERT_EQ(log.jobs.size(), report.jobs.size());
+  for (std::size_t i = 0; i < report.jobs.size(); ++i) {
+    EXPECT_EQ(log.jobs[i].probe_spans.size(),
+              report.jobs[i].report.result.trace.size())
+        << report.jobs[i].name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------ BatchReport

@@ -292,21 +292,26 @@ TEST(ShardedSchedulerStress, SixteenLanesBitIdenticalToSerial) {
   const system::Mlcd mlcd;
 
   const service::BatchReport serial = run_fleet(mlcd, workload, 1);
-  const service::BatchReport wide = run_fleet(mlcd, workload, 16);
-
-  ASSERT_EQ(wide.jobs.size(), workload.jobs.size());
   for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
     ASSERT_TRUE(serial.jobs[i].ok) << workload.jobs[i].name;
-    ASSERT_TRUE(wide.jobs[i].ok) << workload.jobs[i].name;
-    EXPECT_EQ(wide.jobs[i].report.to_json(), serial.jobs[i].report.to_json())
-        << "16-lane sharded diverged on " << workload.jobs[i].name;
+  }
+  service::BatchReport wide;
+  for (const int lanes : {2, 4, 16}) {
+    wide = run_fleet(mlcd, workload, lanes);
+    ASSERT_EQ(wide.jobs.size(), workload.jobs.size());
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      ASSERT_TRUE(wide.jobs[i].ok) << workload.jobs[i].name;
+      EXPECT_EQ(wide.jobs[i].report.to_json(),
+                serial.jobs[i].report.to_json())
+          << lanes << "-lane sharded diverged on " << workload.jobs[i].name;
+    }
   }
 
-  // The fleet must actually have contended: a pool sized to one probe
-  // forces parks, and parked sessions resume through owner-lane queues
-  // that other lanes steal from.
+  // The 16-lane fleet must actually have contended: a pool sized to one
+  // probe forces parks, and parked sessions resume through owner-lane
+  // queues that other lanes steal from.
   EXPECT_GT(wide.total_session_parks(), 0);
-  EXPECT_GE(wide.lane_steals, 0);
+  EXPECT_GT(wide.lane_steals, 0);
   EXPECT_GT(wide.cache.stripes, 1);
 }
 
