@@ -106,6 +106,12 @@ struct JobStats {
   /// with zero probes re-executed (digest-verified against the batch
   /// manifest).
   bool replayed_from_journal = false;
+
+  /// Probe steps replayed to re-stage this job's crashed sessions, summed
+  /// over every lane crash (each re-stage replays the whole trace so
+  /// far). SearchResult::replayed_probes counts only the last session's
+  /// replay. Not part of to_json().
+  int crash_replayed_probes = 0;
 };
 
 /// One workload job's outcome: either a RunReport or a typed JobError,
@@ -189,6 +195,10 @@ struct BatchReport {
   /// commit count, so neither is part of to_json().
   std::int64_t log_commits = 0;
   std::int64_t log_records = 0;
+  /// High-water mark of jobs running at once, parked sessions included
+  /// (a durable batch holds it at or below kDurableRunningJobs). Wall-clock
+  /// scheduling decides it, so it is not part of to_json() either.
+  int peak_running_jobs = 0;
 
   /// Jobs that completed with a RunReport.
   int succeeded() const noexcept;

@@ -38,6 +38,7 @@ std::size_t JobClaims::try_claim() {
     ++running;
     ++running_;
     peak_tenant_ = peak_tenant_ < running ? running : peak_tenant_;
+    peak_running_ = peak_running_ < running_ ? running_ : peak_running_;
     return i;
   }
   return kNoJob;
@@ -55,6 +56,11 @@ void JobClaims::finished(std::size_t job) {
 int JobClaims::peak_tenant() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return peak_tenant_;
+}
+
+int JobClaims::peak_running() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return peak_running_;
 }
 
 // --------------------------------------------------------------------

@@ -78,6 +78,8 @@ class JobClaims {
 
   std::size_t total() const noexcept { return tenants_.size(); }
   int peak_tenant() const;
+  /// High-water mark of jobs running at once (<= `max_running` when set).
+  int peak_running() const;
 
  private:
   const std::vector<std::string> tenants_;
@@ -88,6 +90,7 @@ class JobClaims {
   std::vector<bool> claimed_;
   std::unordered_map<std::string, int> tenant_running_;
   int peak_tenant_ = 0;
+  int peak_running_ = 0;
   std::atomic<std::size_t> completed_{0};
 };
 

@@ -30,15 +30,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Jobs a durable batch keeps running per lane. A session parked on the
-/// commit fence is what fills the next commit round, so a lane claims
-/// fresh jobs while its sessions wait; but each running job pins a
-/// prepared search (about 12 KB before its trace grows), so the count is
-/// capped. At 4, a 4-lane batch groups about eight records per commit;
-/// doubling the cap groups about fourteen for about 0.2 MB more peak
-/// memory.
-constexpr int kLoggedSessionsPerLane = 4;
-
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -349,9 +340,7 @@ class ProbeBatch {
             static_cast<std::size_t>(options.threads),
             workload.jobs.size())),
         claims_(tenants_of(workload), options.tenant_max_jobs,
-                log == nullptr ? 0
-                               : static_cast<int>(lane_count_) *
-                                     kLoggedSessionsPerLane),
+                log == nullptr ? 0 : kDurableRunningJobs),
         dispatcher_(lane_count_, &claims_,
                     log == nullptr ? std::function<bool()>()
                                    : [this] { return pump_log(); }),
@@ -379,6 +368,7 @@ class ProbeBatch {
   }
 
   int peak_tenant() const { return claims_.peak_tenant(); }
+  int peak_running() const { return claims_.peak_running(); }
 
   /// Durable batches under the abort policy, once the lanes drained:
   /// fails typed every job with a record the failed log lost — staged
@@ -911,6 +901,10 @@ class ProbeBatch {
     JobState& job = states_[i];
     JobOutcome& outcome = report_->jobs[i];
     system::JobRequest request = job_request(i);
+    // Either way the fresh session replays every step the crashed one
+    // admitted.
+    outcome.stats.crash_replayed_probes +=
+        static_cast<int>(job.prepared->session().trace().size());
     if (!request.journal_path.empty() || !request.resume_path.empty()) {
       request.resume_path = !request.journal_path.empty()
                                 ? request.journal_path
@@ -1106,6 +1100,7 @@ BatchReport Scheduler::run(const Workload& workload) const {
   report.makespan_seconds = seconds_since(batch_start);
   report.peak_capacity_nodes = capacity.peak_in_use();
   report.peak_tenant_jobs = batch.peak_tenant();
+  report.peak_running_jobs = batch.peak_running();
   report.lane_steals = batch.steals();
   report.cache = cache.stats();
   MLCD_LOG(kInfo, "service")

@@ -51,6 +51,17 @@
 
 namespace mlcd::service {
 
+/// Jobs a durable batch runs at once, fleet-wide. A session parked on the
+/// commit fence is what fills the next commit round: a lane claims a
+/// fresh job only once everything it could run (its own queue, then a
+/// steal) waits, so the more jobs run, the more records share one fsync.
+/// Each running job pins a prepared search, though: about 13 KB, from
+/// the peak RSS (VmHWM) of a 256-job, 4-lane durable batch at bounds of
+/// 16 and 64. The budget for those sessions is 0.8 MB, about 5% of the
+/// 15 MB that perfbench's durable_fleet peaks at, which holds 64 of them.
+/// Batches without a log run unbounded.
+inline constexpr int kDurableRunningJobs = 64;
+
 struct SchedulerOptions {
   /// Concurrent jobs (scheduler lanes, the batch's only threads; each
   /// job's candidate scan runs on the lane that drives it). Clamped to

@@ -1103,6 +1103,51 @@ TEST(DurableBatch, OneFourAndSixteenLanesLogIdenticalReports) {
   }
 }
 
+// A fleet larger than the durable running bound: lanes keep claiming
+// fresh jobs while their sessions wait on the commit fence until the
+// bound blocks the claim, and only a finish frees a slot. The blocking
+// path is trace-neutral, never lets more jobs run than the bound, and
+// the finished log replays every report probe-free.
+TEST(DurableBatch, FleetLargerThanTheRunningBoundMatchesSoloAndReplays) {
+  const int jobs = kDurableRunningJobs + 32;
+  const Workload workload = wide_fleet(jobs);
+  const std::vector<std::uint64_t> solo = solo_digests(workload);
+  const system::Mlcd mlcd;
+  for (const int lanes : {4, 16}) {
+    SchedulerOptions options =
+        durable_options(fresh_dir("bounded_" + std::to_string(lanes)));
+    options.threads = lanes;
+    const BatchReport report = Scheduler(mlcd, options).run(workload);
+    ASSERT_EQ(report.succeeded(), jobs) << lanes << " lanes";
+    EXPECT_GE(report.peak_running_jobs, 1) << lanes << " lanes";
+    EXPECT_LE(report.peak_running_jobs, kDurableRunningJobs)
+        << lanes << " lanes";
+    EXPECT_LT(report.log_commits, report.log_records) << lanes << " lanes";
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i])
+          << lanes << " lanes, job " << i;
+    }
+
+    options.resume = true;
+    const BatchReport replay = Scheduler(mlcd, options).run(workload);
+    ASSERT_EQ(replay.succeeded(), jobs) << lanes << " lanes";
+    EXPECT_EQ(replay.replayed_reports(), jobs) << lanes << " lanes";
+    EXPECT_EQ(replay.resumed_jobs(), 0) << lanes << " lanes";
+    EXPECT_LE(replay.peak_running_jobs, kDurableRunningJobs)
+        << lanes << " lanes";
+    for (std::size_t i = 0; i < workload.jobs.size(); ++i) {
+      const search::SearchResult& result = replay.jobs[i].report.result;
+      EXPECT_EQ(result.replayed_probes, static_cast<int>(result.trace.size()))
+          << lanes << " lanes, job " << i;
+      EXPECT_EQ(digest_run_report(replay.jobs[i].report), solo[i])
+          << lanes << " lanes, job " << i;
+    }
+    // Nothing was measured or logged on the way back.
+    EXPECT_EQ(replay.cache.lookups, 0) << lanes << " lanes";
+    EXPECT_EQ(replay.log_records, 0) << lanes << " lanes";
+  }
+}
+
 /// Six exhaustive searches probing back-to-back through an 8-node pool
 /// with the shared cache off: every probe launches live, so every probe
 /// is a durable record.
@@ -1333,17 +1378,19 @@ TEST(CapacityRevocation, OverRevokeClampsToOccupancy) {
 
 #if defined(MLCD_HAVE_POSIX_SPAWN) && defined(MLCD_CLI_BIN)
 
-/// Forks and execs `mlcd batch` against `workload`, output discarded.
+/// Forks and execs `mlcd batch --threads <threads>` against `workload`,
+/// output discarded.
 pid_t spawn_batch(const std::string& workload, const std::string& dir,
-                  const std::string& out, bool resume) {
+                  const std::string& out, bool resume, int threads) {
+  const std::string lanes = std::to_string(threads);
   const pid_t pid = fork();
   if (pid == 0) {
     std::freopen("/dev/null", "w", stdout);
     std::freopen("/dev/null", "w", stderr);
-    std::vector<const char*> argv = {MLCD_CLI_BIN,     "batch",
-                                     workload.c_str(), "--journal-dir",
-                                     dir.c_str(),      "--out",
-                                     out.c_str()};
+    std::vector<const char*> argv = {
+        MLCD_CLI_BIN,  "batch",      workload.c_str(), "--journal-dir",
+        dir.c_str(),   "--out",      out.c_str(),      "--threads",
+        lanes.c_str()};
     if (resume) argv.push_back("--resume");
     argv.push_back(nullptr);
     execv(MLCD_CLI_BIN, const_cast<char* const*>(argv.data()));
@@ -1355,9 +1402,9 @@ pid_t spawn_batch(const std::string& workload, const std::string& dir,
 /// Spawns `mlcd batch` against `workload`, optionally SIGKILLs it after
 /// `kill_after_us`, and returns the exit code (-1 when killed).
 int run_batch(const std::string& workload, const std::string& dir,
-              const std::string& out, bool resume,
+              const std::string& out, bool resume, int threads,
               long kill_after_us = -1) {
-  const pid_t pid = spawn_batch(workload, dir, out, resume);
+  const pid_t pid = spawn_batch(workload, dir, out, resume, threads);
   if (kill_after_us >= 0) {
     usleep(static_cast<useconds_t>(kill_after_us));
     kill(pid, SIGKILL);
@@ -1377,7 +1424,7 @@ struct BatchTiming {
 };
 
 BatchTiming time_batch(const std::string& workload, const std::string& dir,
-                       const std::string& out) {
+                       const std::string& out, int threads) {
   const auto start = std::chrono::steady_clock::now();
   const auto elapsed_us = [&start] {
     return static_cast<long>(
@@ -1385,7 +1432,7 @@ BatchTiming time_batch(const std::string& workload, const std::string& dir,
             std::chrono::steady_clock::now() - start)
             .count());
   };
-  const pid_t pid = spawn_batch(workload, dir, out, false);
+  const pid_t pid = spawn_batch(workload, dir, out, false, threads);
   BatchTiming timing;
   int status = 0;
   while (waitpid(pid, &status, WNOHANG) == 0) {
@@ -1421,21 +1468,20 @@ std::string scrubbed_trace(const std::string& doc, const std::string& job) {
   return trace;
 }
 
-TEST(KillHarness, KillPointSweepResumesBitIdentically) {
-  const std::string workload = temp_path("kill_workload.json");
-  write_file(workload, R"({"jobs": [
-    {"name": "a", "tenant": "t1", "model": "resnet", "seed": 7,
-     "max_nodes": 8},
-    {"name": "b", "tenant": "t2", "model": "alexnet", "seed": 9,
-     "max_nodes": 8, "method": "random"}
-  ]})");
-
+/// The kill-point sweep: runs `mlcd batch --threads <threads>` over the
+/// workload file once uninterrupted (the golden batch), then SIGKILLs a
+/// fresh run at each kill point, resumes it, and expects every job's
+/// trace to come back bit-identical to the golden one.
+void expect_kill_sweep_resumes_bit_identically(
+    const std::string& workload, const std::vector<std::string>& jobs,
+    int threads, const std::string& tag) {
   // The uninterrupted run is the golden batch every kill point must
   // reproduce. It is timed: from the fork to the log's appearance, and
   // to the process's exit.
-  const std::string golden_dir = fresh_dir("kill_golden");
-  const std::string golden_out = temp_path("kill_golden.json");
-  const BatchTiming golden_run = time_batch(workload, golden_dir, golden_out);
+  const std::string golden_dir = fresh_dir(tag + "_golden");
+  const std::string golden_out = temp_path(tag + "_golden.json");
+  const BatchTiming golden_run =
+      time_batch(workload, golden_dir, golden_out, threads);
   ASSERT_EQ(golden_run.rc, 0);
   const std::string golden = read_file(golden_out);
   ASSERT_NE(golden.find("\"schema_version\":6"), std::string::npos);
@@ -1456,28 +1502,64 @@ TEST(KillHarness, KillPointSweepResumesBitIdentically) {
   }
 
   for (const long kill_after_us : kill_points_us) {
-    const std::string dir =
-        fresh_dir("kill_" + std::to_string(kill_after_us));
-    const std::string out =
-        temp_path("kill_" + std::to_string(kill_after_us) + ".json");
-    run_batch(workload, dir, out, false, kill_after_us);
+    const std::string point = tag + "_" + std::to_string(kill_after_us);
+    const std::string dir = fresh_dir(point);
+    const std::string out = temp_path(point + ".json");
+    run_batch(workload, dir, out, false, threads, kill_after_us);
 
     // A kill can land before the journal dir was even created; resume
     // then refuses (no manifest) and a fresh durable run finishes the
     // job. Either way the sweep point must converge to the golden batch.
     std::remove(out.c_str());
-    int rc = run_batch(workload, dir, out, true);
+    int rc = run_batch(workload, dir, out, true, threads);
     if (rc == 4 && !std::filesystem::exists(dir + "/batch.mlcdb")) {
-      rc = run_batch(workload, dir, out, false);
+      rc = run_batch(workload, dir, out, false, threads);
     }
     ASSERT_EQ(rc, 0) << "kill point " << kill_after_us << " us";
 
     const std::string resumed = read_file(out);
-    for (const std::string job : {"a", "b"}) {
+    for (const std::string& job : jobs) {
       EXPECT_EQ(scrubbed_trace(resumed, job), scrubbed_trace(golden, job))
           << "kill point " << kill_after_us << " us, job " << job;
     }
   }
+}
+
+TEST(KillHarness, KillPointSweepResumesBitIdentically) {
+  const std::string workload = temp_path("kill_workload.json");
+  write_file(workload, R"({"jobs": [
+    {"name": "a", "tenant": "t1", "model": "resnet", "seed": 7,
+     "max_nodes": 8},
+    {"name": "b", "tenant": "t2", "model": "alexnet", "seed": 9,
+     "max_nodes": 8, "method": "random"}
+  ]})");
+  expect_kill_sweep_resumes_bit_identically(workload, {"a", "b"}, 1, "kill");
+  std::remove(workload.c_str());
+}
+
+// The same sweep over a 4-lane batch with more jobs than the durable
+// running bound, so kills land while many sessions sit on the commit
+// fence and fresh claims wait on the bound.
+TEST(KillHarness, MultiLaneKillSweepOverMoreJobsThanTheBound) {
+  const int count = kDurableRunningJobs + 16;
+  std::vector<std::string> jobs;
+  std::string doc = R"({"jobs": [)";
+  for (int i = 0; i < count; ++i) {
+    // Zero-padded names, so no job's name is a prefix of another's.
+    std::string name = std::to_string(1000 + i);
+    name[0] = 'j';
+    jobs.push_back(name);
+    doc += (i == 0 ? "" : ",");
+    doc += R"({"name": ")" + name + R"(", "tenant": "t)" +
+           std::to_string(i % 3) + R"(", "seed": )" +
+           std::to_string(100 + i) + R"(, "max_nodes": 8, )" +
+           (i % 2 == 0 ? R"("model": "resnet"})"
+                       : R"("model": "alexnet", "method": "random"})");
+  }
+  doc += "]}";
+  const std::string workload = temp_path("kill_wide_workload.json");
+  write_file(workload, doc);
+  expect_kill_sweep_resumes_bit_identically(workload, jobs, 4, "kill_wide");
   std::remove(workload.c_str());
 }
 

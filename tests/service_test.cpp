@@ -891,6 +891,50 @@ TEST(ChaosService, LaneCrashRestagesFromAskTellStateWithoutJournal) {
                              solo.report().result);
 }
 
+// A job crashed more than once replays a prefix at every re-stage, and
+// JobStats::crash_replayed_probes sums them all: exactly the steps at
+// which the seeded chaos stream crashed the session (a crash at step s
+// replays the s steps before it), whether the session re-stages from its
+// own journal or from its in-memory trace. SearchResult::replayed_probes
+// keeps counting the last re-stage only.
+TEST(ChaosService, CrashReplayCountsEveryRestagedPrefix) {
+  const system::Mlcd mlcd;
+  const std::string journal_path =
+      (std::filesystem::temp_directory_path() / "mlcd_chaos_prefixes.mlcdj")
+          .string();
+  for (const bool journaled : {false, true}) {
+    std::remove(journal_path.c_str());
+    Workload workload = one_job(R"({"seed": 3, "lane_crash_rate": 0.3})");
+    if (journaled) workload.jobs[0].request.journal_path = journal_path;
+    const BatchReport report = Scheduler(mlcd, {}).run(workload);
+    ASSERT_TRUE(report.jobs[0].ok) << "journaled=" << journaled;
+    const JobStats& stats = report.jobs[0].stats;
+    const search::SearchResult& result = report.jobs[0].report.result;
+
+    const ChaosInjector chaos(workload.chaos);
+    const std::uint64_t key = ChaosInjector::job_key(workload.jobs[0].name);
+    int crashes = 0;
+    int prefixes = 0;
+    int last_prefix = 0;
+    for (int step = 0; step < static_cast<int>(result.trace.size());
+         ++step) {
+      if (chaos.roll(key, step) != ChaosFault::kLaneCrash) continue;
+      ++crashes;
+      prefixes += step;
+      last_prefix = step;
+    }
+    ASSERT_GE(crashes, 2) << "journaled=" << journaled;
+    EXPECT_EQ(stats.lane_crashes, crashes) << "journaled=" << journaled;
+    EXPECT_EQ(stats.crash_replayed_probes, prefixes)
+        << "journaled=" << journaled;
+    EXPECT_EQ(result.replayed_probes, last_prefix)
+        << "journaled=" << journaled;
+    EXPECT_GT(stats.crash_replayed_probes, result.replayed_probes)
+        << "journaled=" << journaled;
+  }
+  std::remove(journal_path.c_str());
+}
+
 TEST(ChaosService, SloBreachFinalizesWithBestKnownDeployment) {
   const system::Mlcd mlcd;
   const Workload workload = parse_workload(R"({
@@ -1129,14 +1173,16 @@ RecoveryWork recovery_work(const BatchReport& report) {
   RecoveryWork work;
   for (const JobOutcome& job : report.jobs) {
     EXPECT_TRUE(job.ok) << job.name << ": " << job.error_message;
-    work.replayed_steps += job.report.result.replayed_probes;
+    work.replayed_steps += job.stats.crash_replayed_probes;
     work.trace_steps += static_cast<int>(job.report.result.trace.size());
   }
   return work;
 }
 
 // What crash recovery costs is replay, never a probe: re-staging the
-// crashed sessions replays under a quarter of the fleet's trace steps,
+// crashed sessions (every re-stage of every job, counted by
+// JobStats::crash_replayed_probes) replays under a quarter of the fleet's
+// trace steps,
 // the same count at 1 and 4 lanes, and a durable run of the same batch
 // logs exactly one probe record per trace step (none measured twice).
 TEST(ChaosService, ContendedCrashRecoveryReplaysUnderAQuarterOfTheTrace) {

@@ -57,6 +57,25 @@ TEST(JobClaims, QuotaBlocksATenantButNotOthers) {
   EXPECT_EQ(claims.peak_tenant(), 2);
 }
 
+TEST(JobClaims, RunningBoundBlocksFreshClaimsUntilAFinish) {
+  // Five jobs of five tenants, at most two running at once.
+  JobClaims claims({"a", "b", "c", "d", "e"}, 0, 2);
+  EXPECT_EQ(claims.try_claim(), 0u);
+  EXPECT_EQ(claims.try_claim(), 1u);
+  EXPECT_EQ(claims.try_claim(), kNoJob);  // at the bound, not out of jobs
+  EXPECT_EQ(claims.try_claim(), kNoJob);
+  claims.finished(1);
+  EXPECT_EQ(claims.try_claim(), 2u);
+  EXPECT_EQ(claims.try_claim(), kNoJob);
+  claims.finished(0);
+  claims.finished(2);
+  EXPECT_EQ(claims.try_claim(), 3u);
+  EXPECT_EQ(claims.try_claim(), 4u);
+  EXPECT_EQ(claims.try_claim(), kNoJob);
+  EXPECT_EQ(claims.peak_running(), 2);
+  EXPECT_FALSE(claims.done());
+}
+
 TEST(JobClaims, DoneOnlyWhenEveryJobFinished) {
   JobClaims claims({"a", "b"}, 0);
   claims.try_claim();
