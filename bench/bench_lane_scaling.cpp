@@ -20,17 +20,18 @@
 //
 // Usage:
 //   bench_lane_scaling
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "mlcd/mlcd.hpp"
 #include "service/batch_report.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -154,7 +155,8 @@ int main(int argc, char** argv) {
   const double bo_speedup = bo.at(1).seconds / bo.at(4).seconds;
   const double sharded_speedup = sharded.at(1).seconds / sharded.at(4).seconds;
   const double idle_16 = sharded.at(16).report.lane_idle_fraction();
-  const int hardware = util::ThreadPool::hardware_threads();
+  const int hardware =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   if (hardware < 4) {
     std::printf("%d hardware thread(s): the scaling gates need >= 4; "
                 "skipped\n",

@@ -109,26 +109,26 @@ batch options (multi-tenant scheduler; see docs/service.md):
   --out <file.json>     also write the BatchReport JSON here
 
 durable-batch options (batch only; see docs/crash-safety.md):
-  --journal-dir <dir>   make the batch durable: a write-ahead manifest
-                        (batch.mlcdb) plus one auto-managed probe
-                        journal per job under <dir> (created if
-                        missing), so a killed batch can be resumed
+  --journal-dir <dir>   make the batch durable: one group-committed
+                        write-ahead log, <dir>/batch.mlcdb (dir
+                        created if missing), holds every job's
+                        records, so a killed batch can be resumed
   --resume              (with --journal-dir) resume the recorded batch:
-                        finished jobs replay their reports from their
-                        journals bit-identically with zero probes
+                        finished jobs replay their reports from the
+                        log bit-identically with zero probes
                         re-executed, in-flight jobs continue where
                         they stopped, never-started jobs run fresh
-  --journal-on-error <p> abort | degrade — what a manifest/journal
-                        *write* failure does (see deploy)      [abort]
+  --journal-on-error <p> abort | degrade — what a batch-log *write*
+                        failure does (see deploy)              [abort]
 
 batch exit codes:
   0  every job succeeded within its SLO
   1  one or more jobs failed (unknown model/method, bad request)
   2  usage error (bad flags, admission refused)
   3  workload file unreadable or malformed
-  4  journal error: manifest/journal unreadable or mismatched on
-     resume, a write failure under --journal-on-error abort, or a
-     replayed report diverging from its recorded digest
+  4  journal error: batch log unreadable, mismatched or of an older
+     version on resume, a write failure under --journal-on-error
+     abort, or a replayed report diverging from its recorded digest
   5  every job produced a report but at least one was finalized
      early over its SLO ("slo_exceeded")
   6  one or more jobs died on an internal error

@@ -77,8 +77,6 @@ GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
   return *this;
 }
 
-std::size_t GpRegressor::input_dim() const noexcept { return x_.cols(); }
-
 bool GpRegressor::homoscedastic_noise() const noexcept {
   for (const double m : noise_multipliers_) {
     if (m != 1.0) return false;

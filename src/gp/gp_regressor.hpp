@@ -113,9 +113,7 @@ class GpRegressor {
   /// Throws std::logic_error before fit().
   void refit_full(bool retune_hyperparameters = true);
 
-  bool is_fitted() const noexcept { return factor_.has_value(); }
   std::size_t observation_count() const noexcept { return y_raw_.size(); }
-  std::size_t input_dim() const noexcept;
 
   /// Monotone token identifying the last full (re)fit. Incremental adds
   /// keep the version; anything that can move hyperparameters or

@@ -1,16 +1,20 @@
 #include "profiler/profiler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "stats/summary.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd::profiler {
 
@@ -23,6 +27,47 @@ std::uint64_t fault_stream_seed(std::uint64_t profiler_seed,
 }
 
 }  // namespace
+
+bool run_with_deadline(std::function<void()> task, double timeout_seconds) {
+  if (timeout_seconds <= 0.0) {
+    task();
+    return true;
+  }
+  struct Shared {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool done = false;
+    bool abandoned = false;
+    std::exception_ptr error;
+  };
+  auto shared = std::make_shared<Shared>();
+  // Detached on purpose: a hung task would otherwise hang the join. The
+  // helper signals through the shared block, which outlives both sides.
+  std::thread([shared, task = std::move(task)] {
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(shared->mutex);
+    shared->done = true;
+    if (!shared->abandoned) shared->error = error;
+    shared->cv.notify_all();
+  }).detach();
+
+  std::unique_lock<std::mutex> lock(shared->mutex);
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_seconds));
+  if (!shared->cv.wait_until(lock, deadline, [&] { return shared->done; })) {
+    shared->abandoned = true;
+    return false;
+  }
+  if (shared->error) std::rethrow_exception(shared->error);
+  return true;
+}
 
 std::size_t ProbeKeyHash::operator()(const ProbeKey& key) const noexcept {
   std::uint64_t sample_bits = 0;
@@ -523,8 +568,7 @@ ProfileResult Profiler::profile_live(const perf::TrainingConfig& config,
         measure_iterations(window_iterations);
       }
     };
-    if (!util::ThreadPool::run_with_deadline(measure,
-                                             options_.watchdog_wall_seconds)) {
+    if (!run_with_deadline(measure, options_.watchdog_wall_seconds)) {
       // Real-time expiry: the measurement computation itself hung. The
       // simulated cluster ran its (deadline-capped) window for nothing.
       const double wall = planned * outcome.slowdown;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,10 +82,10 @@ struct ProfilerOptions {
   /// Probe watchdog, real-time face: wall-clock seconds the measurement
   /// computation itself may take before the attempt is abandoned (for
   /// hangs in the measurement path, not the simulated cluster). Runs the
-  /// measurement under util::ThreadPool::run_with_deadline with a
-  /// self-contained state block. 0 disables (the default — when enabled,
-  /// an expiry depends on host speed, so bit-identical traces across
-  /// machines are only guaranteed while it never fires).
+  /// measurement under run_with_deadline with a self-contained state
+  /// block. 0 disables (the default — when enabled, an expiry depends on
+  /// host speed, so bit-identical traces across machines are only
+  /// guaranteed while it never fires).
   double watchdog_wall_seconds = 0.0;
 };
 
@@ -122,6 +123,18 @@ struct ProfileResult {
   /// executing the probe (spend re-accounted, nothing re-run).
   bool replayed = false;
 };
+
+/// The real-time face of the probe watchdog: runs `task` with a
+/// wall-clock deadline and returns true when it finished within
+/// `timeout_seconds`, false when the deadline expired first.
+/// `timeout_seconds <= 0` runs the task inline (no deadline, always
+/// true). A task that misses its deadline is *abandoned*, not cancelled:
+/// its helper thread runs on to completion in the background, so the
+/// task must exclusively own all state it touches (share nothing with
+/// the caller). Exceptions from a task that finished in time are
+/// rethrown on the caller; exceptions after abandonment are swallowed
+/// with the thread.
+bool run_with_deadline(std::function<void()> task, double timeout_seconds);
 
 /// Fingerprint of every profiler knob (fault hazards, retry policy,
 /// watchdog deadlines, noise, fidelity ladder): the journal header and

@@ -98,13 +98,13 @@ struct JobStats {
   // every job of a non-resumed batch.
 
   /// The job was in flight when the previous process died and resumed
-  /// from its per-job journal (its journaled prefix replayed, the rest
-  /// executed live).
+  /// from the batch log (its logged prefix replayed, the rest executed
+  /// live).
   bool resumed_from_journal = false;
   /// The job had already finished when the previous process died; its
-  /// whole report was replayed bit-identically from its per-job journal
-  /// with zero probes re-executed (digest-verified against the batch
-  /// manifest).
+  /// whole report was replayed bit-identically from the batch log with
+  /// zero probes re-executed (digest-verified against its finished
+  /// record).
   bool replayed_from_journal = false;
 
   /// Probe steps replayed to re-stage this job's crashed sessions, summed

@@ -25,22 +25,6 @@ void check_rate(double rate, const char* name) {
 
 }  // namespace
 
-std::string_view chaos_fault_name(ChaosFault fault) noexcept {
-  switch (fault) {
-    case ChaosFault::kNone:
-      return "none";
-    case ChaosFault::kLaneCrash:
-      return "lane_crash";
-    case ChaosFault::kSpotRevocation:
-      return "spot_revocation";
-    case ChaosFault::kProbeLoss:
-      return "probe_loss";
-    case ChaosFault::kSchedulerStall:
-      return "scheduler_stall";
-  }
-  return "unknown";
-}
-
 bool ChaosOptions::enabled() const noexcept {
   return lane_crash_rate > 0.0 || revocation_rate > 0.0 ||
          probe_loss_rate > 0.0 || stall_rate > 0.0;

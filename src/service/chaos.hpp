@@ -48,8 +48,6 @@ enum class ChaosFault {
   kSchedulerStall,
 };
 
-std::string_view chaos_fault_name(ChaosFault fault) noexcept;
-
 /// Knobs for the injector, declared in workload JSON ("chaos" object)
 /// and overridable per-flag from `mlcd batch --chaos-*`.
 struct ChaosOptions {

@@ -195,7 +195,6 @@ std::size_t ShardedDispatcher::next_job(std::size_t lane) {
       // Work (or the batch end) raced in while we prepared to park:
       // rescan instead of idling with a non-empty run queue somewhere.
       sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-      idle_rescues_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     idle_cv_.wait(idle,

@@ -212,12 +212,6 @@ class ShardedDispatcher {
     return steals_.load(std::memory_order_relaxed);
   }
 
-  /// Times a lane's pre-park re-check found queued work and rescanned
-  /// instead of sleeping (the averted half of the no-idle-with-work
-  /// invariant).
-  std::int64_t idle_rescues() const noexcept {
-    return idle_rescues_.load(std::memory_order_relaxed);
-  }
   /// Lanes currently parked on the idle condition variable. With
   /// queued(), the stress test's barrier-checkpoint invariant: when
   /// every lane sleeps and no external enqueuer is live, queued() must
@@ -249,7 +243,6 @@ class ShardedDispatcher {
   /// before it re-reads this; at least one side always sees the other).
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::int64_t> steals_{0};
-  std::atomic<std::int64_t> idle_rescues_{0};
   std::atomic<int> sleepers_{0};
 
   std::mutex idle_mutex_;

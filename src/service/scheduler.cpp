@@ -4,12 +4,14 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,7 +24,6 @@
 #include "service/dispatch.hpp"
 #include "service/probe_cache.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd::service {
 
@@ -353,18 +354,34 @@ class ProbeBatch {
     }
   }
 
+  /// Runs lane 0 on the calling thread and every other lane on a
+  /// thread of its own, so the batch has exactly lane_count_ threads.
+  /// Joins every lane, then rethrows the first exception a lane threw.
   void run() {
-    util::ThreadPool pool(static_cast<int>(lane_count_));
-    pool.parallel_for(
-        lane_count_, [this](std::size_t begin, std::size_t end) {
-          // One drive loop per lane (chunks are [w, w+1)).
-          for (std::size_t lane = begin; lane < end; ++lane) {
-            for (std::size_t i = dispatcher_.next_job(lane); i != kNoJob;
-                 i = dispatcher_.next_job(lane)) {
-              drive(i, lane);
-            }
-          }
-        });
+    std::mutex error_mutex;
+    std::exception_ptr error;
+    const auto drive_lane = [&](std::size_t lane) {
+      try {
+        for (std::size_t i = dispatcher_.next_job(lane); i != kNoJob;
+             i = dispatcher_.next_job(lane)) {
+          drive(i, lane);
+        }
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    };
+    {
+      // jthreads: every started lane is joined at the end of this scope,
+      // also when starting a later one throws.
+      std::vector<std::jthread> lanes;
+      lanes.reserve(lane_count_ - 1);
+      for (std::size_t lane = 1; lane < lane_count_; ++lane) {
+        lanes.emplace_back(drive_lane, lane);
+      }
+      drive_lane(0);
+    }
+    if (error) std::rethrow_exception(error);
   }
 
   int peak_tenant() const { return claims_.peak_tenant(); }

@@ -245,11 +245,6 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return array_;
 }
 
-const JsonValue::Object& JsonValue::as_object() const {
-  if (!is_object()) kind_error("object");
-  return object_;
-}
-
 bool JsonValue::contains(std::string_view name) const {
   if (!is_object()) kind_error("object");
   return object_.find(name) != object_.end();

@@ -94,7 +94,6 @@ class JsonValue {
   double as_number() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
-  const Object& as_object() const;
 
   /// Object member lookup; throws std::out_of_range when absent
   /// (`contains` probes first). Only valid on objects.

@@ -38,8 +38,6 @@ class TablePrinter {
   /// Renders and writes to stdout.
   void print() const;
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
  private:
   struct Row {
     std::vector<std::string> cells;  // empty => separator

@@ -1,12 +1,11 @@
-// Unit and property tests for src/bo: acquisitions, observation store,
-// input normalization.
+// Unit and property tests for src/bo: acquisitions and input
+// normalization.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "bo/acquisition.hpp"
 #include "bo/normalizer.hpp"
-#include "bo/observation_store.hpp"
 
 namespace mlcd::bo {
 namespace {
@@ -95,54 +94,6 @@ TEST(Acquisition, PredictionOverloadMatchesScalar) {
   p.mean = 2.0;
   p.variance = 4.0;
   EXPECT_DOUBLE_EQ(ei.score(p, 1.0), ei.score(2.0, 2.0, 1.0));
-}
-
-// --------------------------------------------------------------- store
-
-TEST(ObservationStore, TracksIncumbent) {
-  ObservationStore store(2);
-  store.add({0.0, 0.0}, 1.0);
-  store.add({1.0, 0.0}, 3.0);
-  store.add({0.0, 1.0}, 2.0);
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_DOUBLE_EQ(store.best_value(), 3.0);
-  EXPECT_EQ(store.best_index(), 1u);
-  EXPECT_DOUBLE_EQ(store.best_input()[0], 1.0);
-}
-
-TEST(ObservationStore, TiesKeepFirstIncumbent) {
-  ObservationStore store(1);
-  store.add({0.0}, 5.0);
-  store.add({1.0}, 5.0);
-  EXPECT_EQ(store.best_index(), 0u);
-}
-
-TEST(ObservationStore, ContainsExactMatchOnly) {
-  ObservationStore store(2);
-  store.add({0.5, 1.5}, 1.0);
-  EXPECT_TRUE(store.contains(std::vector<double>{0.5, 1.5}));
-  EXPECT_FALSE(store.contains(std::vector<double>{0.5, 1.5000001}));
-}
-
-TEST(ObservationStore, DesignMatrixAndTargets) {
-  ObservationStore store(2);
-  store.add({1.0, 2.0}, 10.0);
-  store.add({3.0, 4.0}, 20.0);
-  const linalg::Matrix x = store.design_matrix();
-  const linalg::Vector y = store.targets();
-  EXPECT_DOUBLE_EQ(x(1, 0), 3.0);
-  EXPECT_DOUBLE_EQ(x(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(y[1], 20.0);
-}
-
-TEST(ObservationStore, Errors) {
-  EXPECT_THROW(ObservationStore(0), std::invalid_argument);
-  ObservationStore store(2);
-  EXPECT_THROW(store.add({1.0}, 1.0), std::invalid_argument);
-  EXPECT_THROW(store.add({1.0, 2.0}, std::nan("")), std::invalid_argument);
-  EXPECT_THROW(store.best_value(), std::logic_error);
-  EXPECT_THROW(store.best_input(), std::logic_error);
-  EXPECT_THROW(store.best_index(), std::logic_error);
 }
 
 // ------------------------------------------------------------- normalizer

@@ -11,7 +11,6 @@
 #include "cloud/catalog_io.hpp"
 #include "cloud/deployment.hpp"
 #include "cloud/instance.hpp"
-#include "cloud/simulator.hpp"
 
 namespace mlcd::cloud {
 namespace {
@@ -360,52 +359,6 @@ TEST(Billing, ResetClearsRecords) {
   meter.reset();
   EXPECT_EQ(meter.records().size(), 0u);
   EXPECT_DOUBLE_EQ(meter.total_cost(), 0.0);
-}
-
-// -------------------------------------------------------------- simulator
-
-TEST(Simulator, SetupTimeFollowsPaperRule) {
-  // §V-A: 10 minutes for one node, +1 minute per 3 extra nodes.
-  const DeploymentSpace space(aws_catalog(), 50);
-  CloudSimulator sim(space, 1);
-  EXPECT_NEAR(sim.expected_setup_hours({0, 1}), 10.0 / 60.0, 1e-12);
-  EXPECT_NEAR(sim.expected_setup_hours({0, 4}), 11.0 / 60.0, 1e-12);
-  EXPECT_NEAR(sim.expected_setup_hours({0, 10}), 13.0 / 60.0, 1e-12);
-  EXPECT_NEAR(sim.expected_setup_hours({0, 50}), 10.0 / 60.0 + 16.0 / 60.0,
-              1e-12);
-}
-
-TEST(Simulator, ProvisionIsDeterministicPerSeed) {
-  const DeploymentSpace space(aws_catalog(), 50);
-  CloudSimulator a(space, 42), b(space, 42);
-  const Cluster ca = a.provision({3, 7});
-  const Cluster cb = b.provision({3, 7});
-  EXPECT_DOUBLE_EQ(ca.setup_hours, cb.setup_hours);
-}
-
-TEST(Simulator, JitterStaysNearExpectation) {
-  const DeploymentSpace space(aws_catalog(), 50);
-  CloudSimulator sim(space, 7);
-  const double expected = sim.expected_setup_hours({0, 10});
-  for (int i = 0; i < 20; ++i) {
-    const Cluster c = sim.provision({0, 10});
-    EXPECT_NEAR(c.setup_hours, expected, expected * 0.2);
-  }
-}
-
-TEST(Simulator, OutOfSpaceThrows) {
-  const DeploymentSpace space(aws_catalog(), 50);
-  CloudSimulator sim(space, 1);
-  EXPECT_THROW(sim.provision({0, 51}), std::invalid_argument);
-}
-
-TEST(Simulator, ClusterIdsIncrease) {
-  const DeploymentSpace space(aws_catalog(), 50);
-  CloudSimulator sim(space, 1);
-  const Cluster a = sim.provision({0, 1});
-  const Cluster b = sim.provision({0, 1});
-  EXPECT_LT(a.id, b.id);
-  EXPECT_EQ(sim.provisioned_count(), 2u);
 }
 
 }  // namespace

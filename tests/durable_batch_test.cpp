@@ -26,6 +26,7 @@
 #include "service/capacity.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
+#include "util/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
@@ -1471,7 +1472,9 @@ std::string scrubbed_trace(const std::string& doc, const std::string& job) {
 /// The kill-point sweep: runs `mlcd batch --threads <threads>` over the
 /// workload file once uninterrupted (the golden batch), then SIGKILLs a
 /// fresh run at each kill point, resumes it, and expects every job's
-/// trace to come back bit-identical to the golden one.
+/// trace to come back bit-identical to the golden one. At least one
+/// point must have interrupted a running batch: its resume found a job
+/// in flight, or replayed some finished jobs but not all of them.
 void expect_kill_sweep_resumes_bit_identically(
     const std::string& workload, const std::vector<std::string>& jobs,
     int threads, const std::string& tag) {
@@ -1501,6 +1504,7 @@ void expect_kill_sweep_resumes_bit_identically(
                              static_cast<long>(state % live_us));
   }
 
+  int interrupted_points = 0;
   for (const long kill_after_us : kill_points_us) {
     const std::string point = tag + "_" + std::to_string(kill_after_us);
     const std::string dir = fresh_dir(point);
@@ -1518,11 +1522,23 @@ void expect_kill_sweep_resumes_bit_identically(
     ASSERT_EQ(rc, 0) << "kill point " << kill_after_us << " us";
 
     const std::string resumed = read_file(out);
+    const util::JsonValue scheduler =
+        util::parse_json(resumed).at("scheduler");
+    const auto replayed =
+        static_cast<std::size_t>(scheduler.at("replayed_reports").as_number());
+    if (scheduler.at("resumed_jobs").as_number() > 0 ||
+        (replayed > 0 && replayed < jobs.size())) {
+      ++interrupted_points;
+    }
     for (const std::string& job : jobs) {
       EXPECT_EQ(scrubbed_trace(resumed, job), scrubbed_trace(golden, job))
           << "kill point " << kill_after_us << " us, job " << job;
     }
   }
+  EXPECT_GT(interrupted_points, 0)
+      << "no kill point landed inside a running batch (golden run: log at "
+      << golden_run.log_us << " us, exit at " << golden_run.exit_us
+      << " us)";
 }
 
 TEST(KillHarness, KillPointSweepResumesBitIdentically) {

@@ -1,15 +1,13 @@
-// Fast-path BO engine tests: incremental GP golden equivalence, thread-
-// pool determinism, batched acquisition scoring, the searcher registry
-// and the JSON report round-trip.
+// Fast-path BO engine tests: incremental GP golden equivalence, batched
+// acquisition scoring, the searcher registry and the JSON report
+// round-trip.
 //
 // The contract this file enforces end-to-end (docs/performance.md): an
 // incrementally-updated GP posterior matches the full-refit reference
 // to 1e-8.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -26,7 +24,6 @@
 #include "search/registry.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mlcd {
 namespace {
@@ -276,72 +273,6 @@ TEST(GpFastPath, StaleCacheFromOtherModelIsDiscarded) {
   // Reusing the same cache against model b must not leak a's kernel rows.
   const gp::Prediction via_b = b.predict_cached(q, cache);
   EXPECT_NEAR(via_b.mean, b.predict(q).mean, 1e-12);
-}
-
-// ---------------------------------------------------------- thread pool
-
-TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  for (int threads : {1, 2, 3, 8}) {
-    util::ThreadPool pool(threads);
-    for (std::size_t n : {0u, 1u, 5u, 97u}) {
-      std::vector<int> hits(n, 0);
-      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) ++hits[i];
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(hits[i], 1) << "threads=" << threads << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(ThreadPoolTest, SlotOutputsAreThreadCountInvariant) {
-  const std::size_t n = 1003;
-  std::vector<double> reference(n);
-  util::ThreadPool serial(1);
-  serial.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      reference[i] = std::sin(0.01 * static_cast<double>(i));
-    }
-  });
-  for (int threads : {2, 5, 8}) {
-    util::ThreadPool pool(threads);
-    std::vector<double> out(n);
-    pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        out[i] = std::sin(0.01 * static_cast<double>(i));
-      }
-    });
-    EXPECT_EQ(std::memcmp(out.data(), reference.data(),
-                          n * sizeof(double)),
-              0)
-        << threads;
-  }
-}
-
-TEST(ThreadPoolTest, PropagatesFirstExceptionAndStaysUsable) {
-  util::ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t begin, std::size_t) {
-                          if (begin == 0) {
-                            throw std::runtime_error("chunk failed");
-                          }
-                        }),
-      std::runtime_error);
-
-  // The pool survives a failed batch.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t begin, std::size_t end) {
-    count += static_cast<int>(end - begin);
-  });
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, ClampsNonPositiveThreadCounts) {
-  EXPECT_EQ(util::ThreadPool(0).thread_count(), 1);
-  EXPECT_EQ(util::ThreadPool(-3).thread_count(), 1);
-  EXPECT_GE(util::ThreadPool::hardware_threads(), 1);
 }
 
 // -------------------------------------------------- batched acquisition

@@ -1,5 +1,5 @@
 // Unit tests for the cloud fault-injection layer: hazard math, outage
-// scheduling, retry backoff, and the typed provision outcome.
+// scheduling and retry backoff.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 
 #include "cloud/fault_model.hpp"
 #include "cloud/instance.hpp"
-#include "cloud/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace mlcd {
@@ -141,63 +140,6 @@ TEST(RetryPolicy, BackoffGrowsAndIsHardCapped) {
   }
 }
 
-// ----------------------------------------------------------- try_provision
-
-TEST(ProvisionOutcome, DistinguishesInvalidFromTransient) {
-  const auto cat = small_catalog();
-  const cloud::DeploymentSpace space(cat, 10);
-  cloud::CloudSimulator sim(space, 7);
-
-  // Invalid deployment: typed outcome, never retryable; the legacy
-  // entry point still throws.
-  const auto invalid = sim.try_provision({0, 99});
-  EXPECT_EQ(invalid.status, cloud::ProvisionStatus::kInvalidDeployment);
-  EXPECT_FALSE(invalid.ok());
-  EXPECT_FALSE(invalid.retryable());
-  EXPECT_FALSE(invalid.cluster.has_value());
-  EXPECT_THROW(sim.provision({0, 99}), std::invalid_argument);
-
-  // No fault model attached: valid deployments always provision.
-  const auto ok = sim.try_provision({0, 4});
-  ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(ok.cluster.has_value());
-  EXPECT_GT(ok.cluster->setup_hours, 0.0);
-}
-
-TEST(ProvisionOutcome, FaultModelInjectsRetryableFailures) {
-  const auto cat = small_catalog();
-  const cloud::DeploymentSpace space(cat, 10);
-  cloud::CloudSimulator sim(space, 7);
-
-  cloud::FaultModelOptions options;
-  options.launch_failure_per_node = 0.5;
-  options.scheduled_outages = {{2, {0.0, 100.0}}};
-  cloud::FaultModel fm(cat, 11, options);
-  sim.set_fault_model(&fm);
-
-  const auto outage = sim.try_provision({2, 1}, /*now_hours=*/1.0);
-  EXPECT_EQ(outage.status, cloud::ProvisionStatus::kCapacityOutage);
-  EXPECT_TRUE(outage.retryable());
-
-  int failures = 0;
-  int successes = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto outcome = sim.try_provision({0, 4});
-    if (outcome.ok()) {
-      ++successes;
-    } else {
-      EXPECT_EQ(outcome.status, cloud::ProvisionStatus::kLaunchFailure);
-      EXPECT_TRUE(outcome.retryable());
-      ++failures;
-    }
-  }
-  EXPECT_GT(failures, 5);   // P(fail, n=4) ≈ 0.94
-  EXPECT_GT(successes, 0);  // but not a brick wall over 40 tries
-
-  sim.set_fault_model(nullptr);
-  EXPECT_TRUE(sim.try_provision({0, 4}).ok());
-}
-
 TEST(FaultKindNames, AreStable) {
   EXPECT_EQ(cloud::fault_kind_name(cloud::FaultKind::kNone), "none");
   EXPECT_EQ(cloud::fault_kind_name(cloud::FaultKind::kLaunchFailure),
@@ -208,9 +150,6 @@ TEST(FaultKindNames, AreStable) {
             "capacity-outage");
   EXPECT_EQ(cloud::fault_kind_name(cloud::FaultKind::kStraggler),
             "straggler");
-  EXPECT_EQ(cloud::provision_status_name(
-                cloud::ProvisionStatus::kInvalidDeployment),
-            "invalid-deployment");
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
 #include "obs/resource.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -46,18 +47,25 @@ TEST(ObsResource, AllocCounterIsThreadSafeUnderThreadPool) {
   constexpr std::size_t kTasks = 2000;
   constexpr std::size_t kBytes = 1024;
 
-  const obs::AllocCounters before = obs::alloc_counters();
-  util::ThreadPool pool(4);
-  pool.parallel_for(kTasks, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      volatile char* p = new char[kBytes];
-      p[0] = static_cast<char>(i);
-      delete[] const_cast<char*>(p);
-    }
-  });
+  constexpr std::size_t kThreads = 4;
 
-  // Concurrent counting must lose nothing: the pool itself allocates
-  // too, so the delta is a floor, not an equality.
+  const obs::AllocCounters before = obs::alloc_counters();
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (std::size_t i = t * kTasks / kThreads;
+           i < (t + 1) * kTasks / kThreads; ++i) {
+        volatile char* p = new char[kBytes];
+        p[0] = static_cast<char>(i);
+        delete[] const_cast<char*>(p);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  // Concurrent counting must lose nothing: starting the threads
+  // allocates too, so the delta is a floor, not an equality.
   const obs::AllocCounters after = obs::alloc_counters();
   EXPECT_GE(after.allocations - before.allocations, kTasks);
   EXPECT_GE(after.bytes - before.bytes, kTasks * kBytes);

@@ -1,6 +1,11 @@
 // Unit tests for src/profiler: probe accounting, noise, stability
-// extension, billing integration.
+// extension, billing integration, and the watchdog's real-time deadline.
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <memory>
+#include <stdexcept>
+#include <thread>
 
 #include "cloud/billing.hpp"
 #include "models/model_zoo.hpp"
@@ -200,6 +205,46 @@ TEST_F(ProfilerTest, ServedProbeLeavesTheStreamWhereALiveProbeDoes) {
   }
   // The comparison covered jittered backoffs, not only noise draws.
   EXPECT_GT(retries, 0);
+}
+
+// ------------------------------------------------------ run_with_deadline
+
+TEST(RunWithDeadline, BlockedTaskExpiresAndIsAbandonedNotCancelled) {
+  // The task owns everything it touches (shared_ptrs into the latches),
+  // as an abandoned task must.
+  const auto release = std::make_shared<std::latch>(1);
+  const auto finished = std::make_shared<std::latch>(1);
+  EXPECT_FALSE(run_with_deadline(
+      [release, finished] {
+        release->wait();
+        finished->count_down();
+      },
+      0.05));
+  // Nothing cancelled the task: once the latch opens, the abandoned
+  // helper runs it to completion.
+  release->count_down();
+  finished->wait();
+}
+
+TEST(RunWithDeadline, TaskFinishedInTimeReturnsTrueOrRethrows) {
+  const auto ran_on = std::make_shared<std::thread::id>();
+  EXPECT_TRUE(run_with_deadline(
+      [ran_on] { *ran_on = std::this_thread::get_id(); }, 60.0));
+  EXPECT_NE(*ran_on, std::this_thread::get_id());
+
+  EXPECT_THROW(run_with_deadline(
+                   [] { throw std::runtime_error("measurement failed"); },
+                   60.0),
+               std::runtime_error);
+}
+
+TEST(RunWithDeadline, NonPositiveTimeoutRunsInlineOnTheCaller) {
+  for (const double timeout : {0.0, -1.0}) {
+    std::thread::id ran_on;
+    EXPECT_TRUE(run_with_deadline(
+        [&ran_on] { ran_on = std::this_thread::get_id(); }, timeout));
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << timeout;
+  }
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace mlcd::util {
@@ -562,24 +561,6 @@ TEST(CsvRead, WriterOutputIsReadable) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[1][1], "a,b \"c\"");
   std::filesystem::remove(path);
-}
-
-// --------------------------------------------------------------- stopwatch
-
-TEST(Stopwatch, ElapsedIsNonNegativeAndMonotone) {
-  Stopwatch sw;
-  const double t1 = sw.elapsed_seconds();
-  const double t2 = sw.elapsed_seconds();
-  EXPECT_GE(t1, 0.0);
-  EXPECT_GE(t2, t1);
-}
-
-TEST(Stopwatch, ResetRestartsClock) {
-  Stopwatch sw;
-  volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink = sink + 1.0;
-  sw.reset();
-  EXPECT_LT(sw.elapsed_seconds(), 1.0);
 }
 
 }  // namespace
