@@ -412,7 +412,8 @@ int cmd_batch(const Args& args, std::ostream& out, std::ostream& err) {
     if (options.resume && options.journal_dir.empty()) {
       return usage_error(err,
                          "batch --resume requires --journal-dir (the "
-                         "manifest to resume from lives there)");
+                         "batch log batch.mlcdb to resume from lives "
+                         "there)");
     }
     options.journal_on_error = parse_journal_on_error(args);
 
@@ -423,8 +424,8 @@ int cmd_batch(const Args& args, std::ostream& out, std::ostream& err) {
       report = scheduler.run(workload);
     } catch (const journal::JournalError& e) {
       // Exit 4: batch-level journal failures — an unreadable or
-      // mismatched manifest on resume, or a manifest write failure
-      // under the abort policy.
+      // mismatched batch log (batch.mlcdb) on resume, or a batch-log
+      // write failure under the abort policy.
       err << "mlcd: " << e.what() << "\n";
       return 4;
     }
@@ -512,9 +513,9 @@ int run(int argc, const char* const* argv, std::ostream& out,
   try {
     std::vector<std::string> flags = {"trace", "help", "json", "spot",
                                       "no-share"};
-    // In batch mode --resume is a flag (the manifest under --journal-dir
-    // names the batch); in deploy mode it takes the journal file to
-    // resume from.
+    // In batch mode --resume is a flag (the batch log batch.mlcdb under
+    // --journal-dir names the batch); in deploy mode it takes the
+    // journal file to resume from.
     if (argc > 1 && std::string(argv[1]) == "batch") {
       flags.push_back("resume");
     }

@@ -148,7 +148,7 @@ std::string BatchReport::render() const {
         << " in-flight jobs resumed\n";
   }
   if (batch_journal_degraded) {
-    out << "WARNING: batch manifest write failed ("
+    out << "WARNING: batch log write failed ("
         << batch_journal_degrade_reason
         << "); results are complete but this batch is no longer "
            "kill-resumable\n";

@@ -1,5 +1,7 @@
 #include "service/dispatch.hpp"
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace mlcd::service {
@@ -64,76 +66,86 @@ int JobClaims::peak_running() const {
 }
 
 // --------------------------------------------------------------------
-// ParkQueue
+// CapacityQueue
 // --------------------------------------------------------------------
 
-bool ParkQueue::admit_or_park(CapacityPool& pool, std::size_t job, int nodes,
-                              std::size_t owner_lane,
-                              const std::function<void()>& on_park) {
-  // Fast path: nobody parked, so there is no FIFO to respect — a
-  // lock-free try_acquire decides. A first park racing this admission
-  // resolves at the try_acquire's linearization point: success means
-  // this probe admitted as-if it arrived just before the park.
-  if (parked_count_.load(std::memory_order_seq_cst) == 0 &&
-      pool.try_acquire(nodes)) {
-    return true;
+CapacityQueue::CapacityQueue(int capacity_nodes)
+    : capacity_(capacity_nodes > 0 ? capacity_nodes : 0) {}
+
+void CapacityQueue::validate(int nodes) const {
+  if (nodes <= 0) {
+    throw std::invalid_argument("CapacityQueue: non-positive node count");
   }
-  // Slow path: serialize against sweeps. The emptiness re-check and the
-  // acquire happen under the lock, so once sessions are parked nothing
-  // ever overtakes them.
+  if (capacity_ > 0 && nodes > capacity_) {
+    throw std::invalid_argument(
+        "CapacityQueue: probe of " + std::to_string(nodes) +
+        " nodes exceeds the pool of " + std::to_string(capacity_) +
+        " (the scheduler should have rejected this workload)");
+  }
+}
+
+bool CapacityQueue::try_acquire_locked(int nodes) {
+  if (capacity_ > 0 && in_use_ + nodes > capacity_) return false;
+  in_use_ += nodes;
+  peak_ = std::max(peak_, in_use_);
+  return true;
+}
+
+bool CapacityQueue::admit_or_park(std::size_t job, int nodes,
+                                  std::size_t owner_lane,
+                                  const std::function<void()>& on_park) {
+  validate(nodes);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (queue_.empty() && pool.try_acquire(nodes)) return true;
+  // Nothing parked ahead and the nodes fit: admitted. Otherwise the
+  // probe parks at the tail — it never overtakes a parked session.
+  if (queue_.empty() && try_acquire_locked(nodes)) return true;
   queue_.push_back(Parked{job, nodes, owner_lane, Clock::now()});
-  parked_count_.store(queue_.size(), std::memory_order_seq_cst);
   if (on_park) on_park();
   return false;
 }
 
-std::vector<ParkQueue::Resumed> ParkQueue::park_revoked(
-    CapacityPool& pool, std::size_t job, int nodes, std::size_t owner_lane,
+std::vector<CapacityQueue::Resumed> CapacityQueue::park(
+    std::size_t job, int nodes, std::size_t owner_lane,
     const std::function<void()>& on_park) {
+  validate(nodes);
   std::lock_guard<std::mutex> lock(mutex_);
-  // Only reclaim a grant the pool could re-issue right now with nothing
-  // parked ahead — otherwise the revocation is a pure park and the
-  // nodes were never this session's to return.
-  const bool reclaimed = queue_.empty() && pool.try_acquire(nodes);
   queue_.push_back(Parked{job, nodes, owner_lane, Clock::now()});
-  parked_count_.store(queue_.size(), std::memory_order_seq_cst);
   if (on_park) on_park();
-  if (!reclaimed) return {};
-  // Park *before* revoking so the sweep can restage this very session
-  // when nothing else holds the pool.
-  pool.revoke(nodes);
-  return sweep_locked(pool);
+  return sweep_locked();
 }
 
-std::vector<ParkQueue::Resumed> ParkQueue::release_and_sweep(
-    CapacityPool& pool, int nodes) {
-  pool.release(nodes);
+std::vector<CapacityQueue::Resumed> CapacityQueue::release_and_sweep(
+    int nodes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return sweep_locked(pool);
+  if (nodes > 0) in_use_ -= std::min(nodes, in_use_);
+  return sweep_locked();
 }
 
-std::vector<ParkQueue::Resumed> ParkQueue::revoke_and_sweep(
-    CapacityPool& pool, int nodes) {
-  pool.revoke(nodes);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sweep_locked(pool);
-}
-
-std::vector<ParkQueue::Resumed> ParkQueue::sweep_locked(CapacityPool& pool) {
+std::vector<CapacityQueue::Resumed> CapacityQueue::sweep_locked() {
   std::vector<Resumed> resumed;
   while (!queue_.empty()) {
     const Parked& head = queue_.front();
-    if (!pool.try_acquire(head.nodes)) break;
+    if (!try_acquire_locked(head.nodes)) break;
     resumed.push_back(
         Resumed{head.job, head.owner_lane, seconds_since(head.since)});
     queue_.pop_front();
   }
-  if (!resumed.empty()) {
-    parked_count_.store(queue_.size(), std::memory_order_seq_cst);
-  }
   return resumed;
+}
+
+std::size_t CapacityQueue::parked() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return queue_.size();
+}
+
+int CapacityQueue::in_use() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return in_use_;
+}
+
+int CapacityQueue::peak_in_use() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return peak_;
 }
 
 // --------------------------------------------------------------------

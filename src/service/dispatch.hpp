@@ -1,22 +1,20 @@
-// Probe-granularity dispatch: job claims, the parked-session FIFO, and
-// the per-lane run queues with work stealing (service layer).
+// Probe-granularity dispatch: job claims, the capacity queue, and the
+// per-lane run queues with work stealing (service layer).
 //
-// PR 4/5's scheduler funneled every probe-granularity decision — claim
+// An earlier scheduler funneled every probe-granularity decision — claim
 // a fresh job, pick up a resumed session, park for capacity, finish —
-// through one batch-wide mutex, which the PR-4 service gate showed
-// turning into negative scaling (jobs/sec *shrinking* with lanes). This
+// through one batch-wide mutex, which its service gate showed turning
+// into negative scaling (jobs/sec *shrinking* with lanes). This
 // header splits that mutex three ways, each piece sized to what it
 // actually guards:
 //
 //   * JobClaims — fresh-job claiming and tenant quotas. Touched once
 //     per job lifetime (claim + finish), never per probe, so a single
 //     small mutex is fine.
-//   * ParkQueue — the capacity-blocked session FIFO. The hot admission
-//     path (cache miss, pool has room, nobody parked) never takes its
-//     lock: an atomic emptiness count gates a lock-free
-//     CapacityPool::try_acquire. The lock is only taken to actually
-//     park or to sweep parked sessions back out — both inherently
-//     off the fast path.
+//   * CapacityQueue — the shared simulated-node pool and the FIFO of
+//     sessions parked on it. One mutex guards occupancy, its peak and
+//     the parked deque, so "does this probe fit, and is anyone waiting
+//     ahead of it" is one decision. Cache hits never reach it.
 //   * ShardedDispatcher — which session a free lane drives next. Every
 //     lane owns a deque (own lock, own cache line) and steals from a
 //     victim when empty.
@@ -42,8 +40,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "service/capacity.hpp"
 
 namespace mlcd::service {
 
@@ -94,18 +90,26 @@ class JobClaims {
   std::atomic<std::size_t> completed_{0};
 };
 
-/// The capacity-blocked session FIFO with a lock-light admission path.
+/// The shared simulated-node pool and the FIFO of sessions waiting on
+/// it (service layer).
+///
+/// A real MLaaS region does not have infinite machines: the fleet's
+/// in-flight probes draw their nodes from one shared pool. A probe that
+/// does not fit right now is never blocked on: its session parks here
+/// and is restaged once running probes release enough capacity.
 ///
 /// Strict FIFO is the contract: parked sessions are restaged in park
-/// order, and a session never parks behind capacity that a sweep could
-/// already have granted it. The *admission* fast path, though, is
-/// allowed to linearize at its CapacityPool::try_acquire: a probe that
-/// races a concurrent first park may be admitted as-if it arrived just
-/// before the park. Once anything is parked (the atomic count is
-/// nonzero) every admission serializes through the queue lock and
-/// strictly refuses to overtake — the steady-state discipline is
-/// exactly PR 5's, minus the lock on the uncontended path.
-class ParkQueue {
+/// order, a probe never overtakes a parked one (even when it would fit),
+/// and a sweep stops at the first head that does not fit. Everything
+/// happens under one mutex, so between calls either nothing is parked
+/// or the head does not fit.
+///
+/// Capacity waits are *real wall-clock* scheduler time. They are never
+/// charged to a job's simulated profiling clock or billing meter — a
+/// queued cluster bills nothing until it launches — which is exactly
+/// what keeps a job's trace and constraint accounting bit-identical to
+/// its solo run (docs/service.md).
+class CapacityQueue {
  public:
   /// A swept session: its capacity grant is already acquired; the
   /// caller stages the gate and routes it to `owner_lane`'s run queue.
@@ -115,37 +119,43 @@ class ParkQueue {
     double waited_seconds = 0.0;  ///< wall time spent parked
   };
 
+  /// `capacity_nodes` <= 0 means unlimited (every probe is admitted;
+  /// occupancy and its peak are still tracked). The scheduler validates
+  /// workloads against a finite pool at admission, so a too-large probe
+  /// can never wedge the FIFO.
+  explicit CapacityQueue(int capacity_nodes);
+
   /// Admission decision for one pending probe. Returns true with the
   /// nodes acquired (the caller stages the grant and keeps driving), or
-  /// false with the session parked FIFO. `on_park` runs under the queue
-  /// lock *before* the entry becomes sweepable — the only window where
-  /// the caller can still touch the job's stats without racing the lane
-  /// that will later resume it.
-  bool admit_or_park(CapacityPool& pool, std::size_t job, int nodes,
-                     std::size_t owner_lane,
+  /// false with the session parked FIFO. `on_park` runs under the lock
+  /// *before* the entry becomes sweepable — the only window where the
+  /// caller can still touch the job's stats without racing the lane
+  /// that will later resume it. Throws std::invalid_argument when
+  /// `nodes` is non-positive or exceeds a finite pool outright.
+  bool admit_or_park(std::size_t job, int nodes, std::size_t owner_lane,
                      const std::function<void()>& on_park);
 
-  /// The spot-revocation park: the session parks first, *then* its
-  /// grant is revoked, so the subsequent sweep can restage this very
-  /// session when nothing else holds the pool (elastic re-admission
-  /// through the same FIFO as every capacity wait). Only reclaims when
-  /// nothing is parked ahead and the grant is actually re-acquirable;
-  /// otherwise the revocation is a pure park. Returns the swept
-  /// sessions to restage (possibly including `job` itself).
-  std::vector<Resumed> park_revoked(CapacityPool& pool, std::size_t job,
-                                    int nodes, std::size_t owner_lane,
-                                    const std::function<void()>& on_park);
+  /// The spot-revocation path: the session parks at the tail, then the
+  /// queue is swept, so the revoked session re-admits behind every
+  /// earlier-parked one — and at once when nothing is parked ahead and
+  /// its nodes fit. Returns the swept sessions to restage (possibly
+  /// including `job` itself). Throws like admit_or_park.
+  std::vector<Resumed> park(std::size_t job, int nodes,
+                            std::size_t owner_lane,
+                            const std::function<void()>& on_park);
 
-  /// Returns `nodes` to the pool (release or revoke) and restages as
-  /// many parked sessions (FIFO) as now fit, each with its grant
-  /// already acquired. Called after every finished probe.
-  std::vector<Resumed> release_and_sweep(CapacityPool& pool, int nodes);
-  std::vector<Resumed> revoke_and_sweep(CapacityPool& pool, int nodes);
+  /// Returns `nodes` to the pool and restages as many parked sessions
+  /// (FIFO) as now fit, each with its grant already acquired. Called
+  /// after every finished probe. Occupancy never drops below zero: a
+  /// release of more than is in use reclaims only what is.
+  std::vector<Resumed> release_and_sweep(int nodes);
 
-  /// Lock-free: parked-session count (the admission fast-path gate).
-  std::size_t parked() const noexcept {
-    return parked_count_.load(std::memory_order_seq_cst);
-  }
+  /// Sessions parked right now.
+  std::size_t parked() const;
+  /// Nodes occupied by in-flight probes right now.
+  int in_use() const;
+  /// High-water mark of concurrently occupied nodes.
+  int peak_in_use() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -157,14 +167,16 @@ class ParkQueue {
     Clock::time_point since;
   };
 
-  std::vector<Resumed> sweep_locked(CapacityPool& pool);
+  void validate(int nodes) const;
+  /// Takes `nodes` when they fit right now; the caller holds mutex_.
+  bool try_acquire_locked(int nodes);
+  std::vector<Resumed> sweep_locked();
 
+  const int capacity_;  ///< 0 = unlimited
   mutable std::mutex mutex_;
+  int in_use_ = 0;
+  int peak_ = 0;
   std::deque<Parked> queue_;
-  /// queue_.size(), readable without the lock. seq_cst so the admission
-  /// fast path and a concurrent first park order against the pool's
-  /// token operations (see admit_or_park).
-  std::atomic<std::size_t> parked_count_{0};
 };
 
 /// Per-lane run queues with work stealing. Each lane owns a deque on
@@ -178,7 +190,7 @@ class ParkQueue {
 /// condition variable behind a generation counter. Every enqueue bumps
 /// the generation (so no wakeup is ever missed) but takes the idle
 /// mutex only on this cold path — the probe hot path (cache hit or
-/// fast-path admission) never enqueues and never touches it. A lane
+/// admission) never enqueues and never touches it. A lane
 /// about to park re-checks the atomic queued-session count under the
 /// idle mutex and rescans instead of sleeping when work raced in: no
 /// lane ever idles while any run queue is non-empty, which the 16-lane

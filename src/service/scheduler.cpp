@@ -19,7 +19,6 @@
 #include "search/probe_driver.hpp"
 #include "search/search_result.hpp"
 #include "service/batch_journal.hpp"
-#include "service/capacity.hpp"
 #include "service/chaos.hpp"
 #include "service/dispatch.hpp"
 #include "service/probe_cache.hpp"
@@ -304,8 +303,9 @@ class StagedGate final : public profiler::ProbeGate {
 /// The probe-granularity machinery is split three ways (dispatch.hpp)
 /// so that no per-probe step ever takes a batch-wide lock: JobClaims
 /// (fresh jobs + tenant quotas, touched once per job lifetime),
-/// ParkQueue (the capacity FIFO with a lock-free admission fast path),
-/// and ShardedDispatcher (per-lane run queues with work stealing).
+/// CapacityQueue (the node pool and its parked FIFO, one small lock
+/// taken per cache miss and per finished probe), and ShardedDispatcher
+/// (per-lane run queues with work stealing).
 ///
 /// Liveness invariant: a session parks only while some other session
 /// holds pool capacity, capacity is only held across one
@@ -325,14 +325,13 @@ class ProbeBatch {
   /// durable one `plans` holds one entry per workload job.
   ProbeBatch(const system::Mlcd& mlcd, const SchedulerOptions& options,
              const Workload& workload, BatchReport& report,
-             ProbeCache* cache, CapacityPool& capacity,
-             Clock::time_point batch_start, BatchLog* log = nullptr,
+             ProbeCache* cache, Clock::time_point batch_start,
+             BatchLog* log = nullptr,
              std::vector<DurablePlan>* plans = nullptr)
       : mlcd_(&mlcd),
         workload_(&workload),
         report_(&report),
         cache_(cache),
-        capacity_(&capacity),
         log_(log),
         plans_(plans),
         on_error_(options.journal_on_error),
@@ -342,6 +341,7 @@ class ProbeBatch {
             workload.jobs.size())),
         claims_(tenants_of(workload), options.tenant_max_jobs,
                 log == nullptr ? 0 : kDurableRunningJobs),
+        capacity_(options.capacity_nodes),
         dispatcher_(lane_count_, &claims_,
                     log == nullptr ? std::function<bool()>()
                                    : [this] { return pump_log(); }),
@@ -386,6 +386,7 @@ class ProbeBatch {
 
   int peak_tenant() const { return claims_.peak_tenant(); }
   int peak_running() const { return claims_.peak_running(); }
+  int peak_capacity() const { return capacity_.peak_in_use(); }
 
   /// Durable batches under the abort policy, once the lanes drained:
   /// fails typed every job with a record the failed log lost — staged
@@ -413,16 +414,7 @@ class ProbeBatch {
   /// grant before it ever reaches a lane. Called from
   /// StagedGate::publish / abandon on whichever lane ran the probe.
   void release_and_sweep(int nodes) noexcept {
-    restage(park_.release_and_sweep(*capacity_, nodes));
-  }
-
-  /// Like release_and_sweep, but the nodes come back through a spot
-  /// revocation: the pool counts the reclamation, and the freed
-  /// capacity goes to the *head* parked session first — the revoked
-  /// session itself re-admits behind every earlier-parked one, so
-  /// strict FIFO holds under revocation too.
-  void revoke_and_sweep(int nodes) noexcept {
-    restage(park_.revoke_and_sweep(*capacity_, nodes));
+    restage(capacity_.release_and_sweep(nodes));
   }
 
  private:
@@ -464,12 +456,12 @@ class ProbeBatch {
 
   /// Routes swept sessions back into circulation. Each arrives with its
   /// capacity grant already acquired and *exclusively owned by the
-  /// sweeping thread* (the ParkQueue popped it under its lock): the
+  /// sweeping thread* (the CapacityQueue popped it under its lock): the
   /// gate is staged and the stall wait booked before the enqueue makes
   /// the session visible to any lane, so no lock beyond the run-queue
   /// handoff is needed.
-  void restage(const std::vector<ParkQueue::Resumed>& resumed) noexcept {
-    for (const ParkQueue::Resumed& r : resumed) {
+  void restage(const std::vector<CapacityQueue::Resumed>& resumed) noexcept {
+    for (const CapacityQueue::Resumed& r : resumed) {
       states_[r.job].gate.stage_admitted();
       report_->jobs[r.job].stats.capacity_stall_seconds += r.waited_seconds;
       dispatcher_.enqueue(r.job, r.owner_lane);
@@ -484,7 +476,7 @@ class ProbeBatch {
   ///
   /// Lane migration: the lane binds itself as the session's exclusive
   /// driver on entry and releases inside the park callback (under the
-  /// park lock, *before* the entry becomes sweepable) or before a
+  /// capacity lock, *before* the entry becomes sweepable) or before a
   /// requeue — the last point where this lane still owns the session.
   /// A finished/failed session is destroyed while bound; the next lane
   /// to drive a crash-re-staged replacement binds the fresh session.
@@ -541,7 +533,7 @@ class ProbeBatch {
           // far — instead of aborting the batch.
           const SloBreach breach = slo_breach(spec.slo, session);
           if (breach != SloBreach::kNone) {
-            drop_staged(i, request->deployment.nodes, /*revoked=*/false);
+            drop_staged(i, request->deployment.nodes);
             outcome.slo = breach;
             MLCD_LOG(kWarn, "service")
                 << "job '" << spec.name << "' exceeded its "
@@ -572,7 +564,7 @@ class ProbeBatch {
           // Everything the lane must settle before a park makes the
           // session visible to other lanes: stats (they would race the
           // resuming lane otherwise) and the driver-token release. Runs
-          // under the park lock, before the entry becomes sweepable.
+          // under the capacity lock, before the entry becomes sweepable.
           const auto on_park = [&]() {
             ++outcome.stats.capacity_stalls;
             ++outcome.stats.session_parks;
@@ -581,13 +573,11 @@ class ProbeBatch {
           };
           if (job.pending_revocation) {
             // The capacity this probe reserved is spot-revoked as it
-            // launches: reclaim any grant reserve-safely and park for
-            // elastic re-admission through the same FIFO as every
-            // capacity wait.
+            // launches: the session parks at the tail for elastic
+            // re-admission through the same FIFO as every capacity wait.
             job.pending_revocation = false;
-            restage(park_.park_revoked(*capacity_, i,
-                                       request->deployment.nodes, lane,
-                                       on_park));
+            restage(capacity_.park(i, request->deployment.nodes, lane,
+                                   on_park));
             return;  // lane freed; the sweep will restage this session
           }
           const profiler::ProbeKey key = session.profiler().next_probe_key(
@@ -596,9 +586,8 @@ class ProbeBatch {
               cache_ != nullptr ? cache_->lookup(key) : std::nullopt;
           if (hit.has_value()) {
             job.gate.stage_hit(std::move(*hit));
-          } else if (park_.admit_or_park(*capacity_, i,
-                                         request->deployment.nodes, lane,
-                                         on_park)) {
+          } else if (capacity_.admit_or_park(i, request->deployment.nodes,
+                                              lane, on_park)) {
             job.gate.stage_admitted();
           } else {
             return;  // parked; the sweep will restage this session
@@ -840,17 +829,12 @@ class ProbeBatch {
     dispatcher_.enqueue(i, lane);
   }
 
-  /// Returns a staged-but-unused capacity grant to the pool (released
-  /// or spot-revoked) and sweeps the parked FIFO. No-op when nothing
-  /// admitted was staged. Defensive on the chaos paths: faults roll
-  /// only at fresh step boundaries, which never carry a staged grant.
-  void drop_staged(std::size_t i, int nodes, bool revoked) noexcept {
-    if (!states_[i].gate.unstage()) return;
-    if (revoked) {
-      revoke_and_sweep(nodes);
-    } else {
-      release_and_sweep(nodes);
-    }
+  /// Returns a staged-but-unused capacity grant to the pool and sweeps
+  /// the parked FIFO. No-op when nothing admitted was staged. Defensive
+  /// on the chaos paths: faults roll only at fresh step boundaries,
+  /// which never carry a staged grant.
+  void drop_staged(std::size_t i, int nodes) noexcept {
+    if (states_[i].gate.unstage()) release_and_sweep(nodes);
   }
 
   /// Applies one injected fault at a step boundary. Returns true when
@@ -865,7 +849,7 @@ class ProbeBatch {
     switch (fault) {
       case ChaosFault::kLaneCrash:
         ++outcome.stats.lane_crashes;
-        drop_staged(i, nodes, /*revoked=*/false);
+        drop_staged(i, nodes);
         // The crashed session dies bound to this lane; the fresh
         // re-staged one is unbound until whichever lane pops the
         // requeue binds it.
@@ -985,7 +969,6 @@ class ProbeBatch {
   const Workload* workload_;
   BatchReport* report_;
   ProbeCache* cache_;
-  CapacityPool* capacity_;
   BatchLog* log_;                    ///< null: batch not durable
   std::vector<DurablePlan>* plans_;  ///< null: batch not durable
   const journal::OnError on_error_;
@@ -998,7 +981,7 @@ class ProbeBatch {
   // The three lock domains that replaced the old batch-wide mutex —
   // see dispatch.hpp for what each one guards and why.
   JobClaims claims_;
-  ParkQueue park_;
+  CapacityQueue capacity_;
   ShardedDispatcher dispatcher_;
 
   std::vector<JobState> states_;
@@ -1054,8 +1037,8 @@ BatchReport Scheduler::run(const Workload& workload) const {
   workload.chaos.validate();
   if (options_.resume && options_.journal_dir.empty()) {
     throw std::invalid_argument(
-        "Scheduler: --resume requires --journal-dir (the manifest to "
-        "resume from lives there)");
+        "Scheduler: --resume requires --journal-dir (the batch log "
+        "batch.mlcdb to resume from lives there)");
   }
 
   // Durable batches: plan every job's recovery path from the batch log
@@ -1083,11 +1066,9 @@ BatchReport Scheduler::run(const Workload& workload) const {
 
   ProbeCache cache;
   ProbeCache* shared_cache = options_.share_probes ? &cache : nullptr;
-  CapacityPool capacity(options_.capacity_nodes);
-
   const Clock::time_point batch_start = Clock::now();
   ProbeBatch batch(*mlcd_, options_, workload, report, shared_cache,
-                   capacity, batch_start, log.get(),
+                   batch_start, log.get(),
                    plans.empty() ? nullptr : &plans);
   batch.run();
 
@@ -1115,7 +1096,7 @@ BatchReport Scheduler::run(const Workload& workload) const {
   }
 
   report.makespan_seconds = seconds_since(batch_start);
-  report.peak_capacity_nodes = capacity.peak_in_use();
+  report.peak_capacity_nodes = batch.peak_capacity();
   report.peak_tenant_jobs = batch.peak_tenant();
   report.peak_running_jobs = batch.peak_running();
   report.lane_steals = batch.steals();

@@ -556,6 +556,7 @@ TEST(CliRun, BatchResumeWithoutJournalDirIsUsageError) {
   EXPECT_EQ(drive({"batch", workload.c_str(), "--resume"}, nullptr, &err),
             2);
   EXPECT_NE(err.find("--journal-dir"), std::string::npos);
+  EXPECT_NE(err.find("batch.mlcdb"), std::string::npos) << err;
   std::remove(workload.c_str());
 }
 

@@ -23,7 +23,6 @@
 #include "mlcd/mlcd.hpp"
 #include "service/batch_journal.hpp"
 #include "service/batch_report.hpp"
-#include "service/capacity.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
 #include "util/json.hpp"
@@ -1334,45 +1333,6 @@ TEST(StorageFaults, FsyncFailureAtOneCommitUnderDegradeKeepsReportsSolo) {
     EXPECT_EQ(digest_run_report(report.jobs[i].report), solo[i]) << i;
   }
   expect_logged_prefixes(dir + "/batch.mlcdb", workload);
-}
-
-// ------------------------------------------------- capacity revocation edges
-
-TEST(CapacityRevocation, RevokeAfterReleaseLeavesLedgerUntouched) {
-  CapacityPool pool(10);
-  ASSERT_TRUE(pool.try_acquire(4));
-  pool.release(4);
-  // The grant is already gone: a late revoke reclaims nothing.
-  pool.revoke(4);
-  EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.revocations(), 0);
-  EXPECT_EQ(pool.revoked_nodes(), 0);
-}
-
-TEST(CapacityRevocation, DoubleRevokeCountsTheGrantOnce) {
-  CapacityPool pool(10);
-  ASSERT_TRUE(pool.try_acquire(4));
-  pool.revoke(4);
-  pool.revoke(4);  // stray second revoke of the same grant
-  EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.revocations(), 1);
-  EXPECT_EQ(pool.revoked_nodes(), 4);
-}
-
-TEST(CapacityRevocation, OverRevokeClampsToOccupancy) {
-  CapacityPool pool(10);
-  ASSERT_TRUE(pool.try_acquire(3));
-  pool.revoke(10);
-  EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.revoked_nodes(), 3);
-  // The pool is healthy afterwards: the full capacity is available.
-  EXPECT_TRUE(pool.try_acquire(10));
-  pool.release(10);
-  // Negative revokes are ignored outright.
-  ASSERT_TRUE(pool.try_acquire(2));
-  pool.revoke(-5);
-  EXPECT_EQ(pool.in_use(), 2);
-  EXPECT_EQ(pool.revoked_nodes(), 3);
 }
 
 // --------------------------------------------------- process-kill harness

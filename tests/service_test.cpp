@@ -22,7 +22,6 @@
 #include "search/trace_io.hpp"
 #include "service/batch_journal.hpp"
 #include "service/batch_report.hpp"
-#include "service/capacity.hpp"
 #include "service/chaos.hpp"
 #include "service/dispatch.hpp"
 #include "service/probe_cache.hpp"
@@ -308,126 +307,133 @@ TEST(ProbeCache, FirstWriterWins) {
 }
 
 // ------------------------------------------------------------ CapacityPool
+// The pool half of CapacityQueue: occupancy, its peak, and the requests
+// it refuses outright.
 
 TEST(CapacityPool, UnlimitedTracksOccupancyOnly) {
-  CapacityPool pool(0);
-  ASSERT_TRUE(pool.try_acquire(100));
+  CapacityQueue pool(0);
+  ASSERT_TRUE(pool.admit_or_park(0, 100, 0, nullptr));
   EXPECT_EQ(pool.in_use(), 100);
-  ASSERT_TRUE(pool.try_acquire(50));
+  ASSERT_TRUE(pool.admit_or_park(1, 50, 0, nullptr));
   EXPECT_EQ(pool.peak_in_use(), 150);
-  pool.release(100);
-  pool.release(50);
+  EXPECT_TRUE(pool.release_and_sweep(100).empty());
+  EXPECT_TRUE(pool.release_and_sweep(50).empty());
   EXPECT_EQ(pool.in_use(), 0);
+  EXPECT_EQ(pool.parked(), 0u);
 }
 
 TEST(CapacityPool, RejectsImpossibleRequests) {
-  CapacityPool pool(10);
-  EXPECT_THROW(pool.try_acquire(0), std::invalid_argument);
-  EXPECT_THROW(pool.try_acquire(-1), std::invalid_argument);
-  EXPECT_THROW(pool.try_acquire(11), std::invalid_argument);
+  CapacityQueue pool(10);
+  EXPECT_THROW(pool.admit_or_park(0, 0, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(pool.admit_or_park(0, -1, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(pool.admit_or_park(0, 11, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(pool.park(0, 0, 0, nullptr), std::invalid_argument);
+  EXPECT_THROW(pool.park(0, 11, 0, nullptr), std::invalid_argument);
   EXPECT_EQ(pool.in_use(), 0);
+  EXPECT_EQ(pool.parked(), 0u);
 }
 
-// The pool itself never blocks: a probe that does not fit waits in the
-// scheduler's park queue until running probes return their nodes.
+// Admission never blocks: a probe that does not fit parks until running
+// probes return their nodes.
 TEST(CapacityPool, QueuesUntilCapacityFrees) {
-  CapacityPool pool(10);
-  ParkQueue queue;
-  ASSERT_TRUE(queue.admit_or_park(pool, 0, 8, 0, nullptr));
-  EXPECT_EQ(pool.in_use(), 8);
+  CapacityQueue queue(10);
+  ASSERT_TRUE(queue.admit_or_park(0, 8, 0, nullptr));
+  EXPECT_EQ(queue.in_use(), 8);
 
   int parks = 0;
   // Job 1 needs 5 beside the 8: it parks instead of being admitted.
-  EXPECT_FALSE(queue.admit_or_park(pool, 1, 5, 2, [&] { ++parks; }));
+  EXPECT_FALSE(queue.admit_or_park(1, 5, 2, [&] { ++parks; }));
   EXPECT_EQ(parks, 1);
   EXPECT_EQ(queue.parked(), 1u);
-  EXPECT_EQ(pool.in_use(), 8);
+  EXPECT_EQ(queue.in_use(), 8);
 
-  const auto resumed = queue.release_and_sweep(pool, 8);
+  const auto resumed = queue.release_and_sweep(8);
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_EQ(resumed[0].job, 1u);
   EXPECT_EQ(resumed[0].owner_lane, 2u);
   EXPECT_GE(resumed[0].waited_seconds, 0.0);
   EXPECT_EQ(queue.parked(), 0u);
-  EXPECT_EQ(pool.in_use(), 5);  // the resumed grant is already held
-  EXPECT_EQ(pool.peak_in_use(), 8);
-  pool.release(5);
-  EXPECT_EQ(pool.in_use(), 0);
+  EXPECT_EQ(queue.in_use(), 5);  // the resumed grant is already held
+  EXPECT_EQ(queue.peak_in_use(), 8);
+  queue.release_and_sweep(5);
+  EXPECT_EQ(queue.in_use(), 0);
 }
 
 TEST(CapacityPool, FifoWakeOrderSurvivesReleaseAndRevoke) {
-  for (const bool via_revoke : {false, true}) {
-    CapacityPool pool(10);
-    ParkQueue queue;
-    const auto give_back = [&](int nodes) {
-      return via_revoke ? queue.revoke_and_sweep(pool, nodes)
-                        : queue.release_and_sweep(pool, nodes);
-    };
-    ASSERT_TRUE(queue.admit_or_park(pool, 0, 10, 0, nullptr));
-    ASSERT_FALSE(queue.admit_or_park(pool, 1, 6, 0, nullptr));
-    ASSERT_FALSE(queue.admit_or_park(pool, 2, 5, 0, nullptr));
+  CapacityQueue queue(10);
+  ASSERT_TRUE(queue.admit_or_park(0, 10, 0, nullptr));
+  ASSERT_FALSE(queue.admit_or_park(1, 6, 0, nullptr));
+  ASSERT_FALSE(queue.admit_or_park(2, 5, 0, nullptr));
 
-    // Freeing 5 nodes would fit job 2 but not the head's 6: nobody is
-    // restaged, and a fitting newcomer must park rather than overtake.
-    EXPECT_TRUE(give_back(5).empty()) << "via_revoke=" << via_revoke;
-    EXPECT_FALSE(queue.admit_or_park(pool, 3, 1, 0, nullptr));
-    EXPECT_EQ(queue.parked(), 3u);
+  // Freeing 5 nodes would fit job 2 but not the head's 6: nobody is
+  // restaged, and a fitting newcomer must park rather than overtake —
+  // so must a spot-revoked session, which re-admits behind all of them.
+  EXPECT_TRUE(queue.release_and_sweep(5).empty());
+  EXPECT_FALSE(queue.admit_or_park(3, 1, 0, nullptr));
+  EXPECT_TRUE(queue.park(4, 1, 0, nullptr).empty());
+  EXPECT_EQ(queue.parked(), 4u);
 
-    // Freeing the rest restages job 1 alone (6 + 5 still exceeds the
-    // pool, so job 2 keeps waiting behind it)...
-    auto resumed = give_back(5);
-    ASSERT_EQ(resumed.size(), 1u) << "via_revoke=" << via_revoke;
-    EXPECT_EQ(resumed[0].job, 1u);
+  // Freeing the rest restages job 1 alone (6 + 5 still exceeds the
+  // pool, so job 2 keeps waiting behind it)...
+  auto resumed = queue.release_and_sweep(5);
+  ASSERT_EQ(resumed.size(), 1u);
+  EXPECT_EQ(resumed[0].job, 1u);
 
-    // ... and job 1's own release restages job 2, then job 3.
-    resumed = queue.release_and_sweep(pool, 6);
-    ASSERT_EQ(resumed.size(), 2u) << "via_revoke=" << via_revoke;
-    EXPECT_EQ(resumed[0].job, 2u);
-    EXPECT_EQ(resumed[1].job, 3u);
-    EXPECT_EQ(queue.parked(), 0u);
-    EXPECT_EQ(pool.revocations(), via_revoke ? 2 : 0);
-    pool.release(5);
-    pool.release(1);
-    EXPECT_EQ(pool.in_use(), 0);
-  }
+  // ... and job 1's own release restages jobs 2, 3 and 4 in park order.
+  resumed = queue.release_and_sweep(6);
+  ASSERT_EQ(resumed.size(), 3u);
+  EXPECT_EQ(resumed[0].job, 2u);
+  EXPECT_EQ(resumed[1].job, 3u);
+  EXPECT_EQ(resumed[2].job, 4u);
+  EXPECT_EQ(queue.parked(), 0u);
+  EXPECT_EQ(queue.in_use(), 7);
+  queue.release_and_sweep(7);
+  EXPECT_EQ(queue.in_use(), 0);
 }
 
 TEST(CapacityPool, TryAcquireNeverBlocksAndNeverOvertakes) {
-  CapacityPool pool(10);
-  EXPECT_THROW(pool.try_acquire(0), std::invalid_argument);
-  EXPECT_THROW(pool.try_acquire(11), std::invalid_argument);
-  EXPECT_TRUE(pool.try_acquire(6));
-  EXPECT_FALSE(pool.try_acquire(5));  // would exceed: refused, not queued
-  EXPECT_EQ(pool.in_use(), 6);
-  EXPECT_TRUE(pool.try_acquire(4));
-  pool.release(6);
-  pool.release(4);
+  CapacityQueue pool(10);
+  EXPECT_TRUE(pool.admit_or_park(0, 6, 0, nullptr));
+  EXPECT_TRUE(pool.admit_or_park(1, 4, 0, nullptr));
+  // Would exceed the pool: parked, not blocked on.
+  EXPECT_FALSE(pool.admit_or_park(2, 5, 0, nullptr));
+  EXPECT_EQ(pool.in_use(), 10);
+  // A 1-node probe behind it parks too, even once 6 nodes are free...
+  EXPECT_FALSE(pool.admit_or_park(3, 1, 0, nullptr));
+  // ... and the release hands the freed nodes to both, in park order.
+  const auto resumed = pool.release_and_sweep(6);
+  ASSERT_EQ(resumed.size(), 2u);
+  EXPECT_EQ(resumed[0].job, 2u);
+  EXPECT_EQ(resumed[1].job, 3u);
+  EXPECT_EQ(pool.in_use(), 10);
+  pool.release_and_sweep(4);
+  pool.release_and_sweep(5);
+  pool.release_and_sweep(1);
   EXPECT_EQ(pool.in_use(), 0);
   EXPECT_EQ(pool.peak_in_use(), 10);
 
-  CapacityPool unlimited(0);
-  EXPECT_TRUE(unlimited.try_acquire(1000));
+  CapacityQueue unlimited(0);
+  EXPECT_TRUE(unlimited.admit_or_park(0, 1000, 0, nullptr));
   EXPECT_EQ(unlimited.in_use(), 1000);
-  unlimited.release(1000);
+  unlimited.release_and_sweep(1000);
 }
 
-TEST(CapacityPool, RevokeReclaimsLikeReleaseAndCounts) {
-  CapacityPool pool(10);
-  EXPECT_TRUE(pool.try_acquire(8));
-  pool.revoke(8);
+TEST(CapacityPool, OverReleaseClampsToOccupancy) {
+  CapacityQueue pool(10);
+  ASSERT_TRUE(pool.admit_or_park(0, 3, 0, nullptr));
+  pool.release_and_sweep(10);
   EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.revocations(), 1);
-  EXPECT_EQ(pool.revoked_nodes(), 8);
-  // Reserve-safe: occupancy never underflows even if a revocation races
-  // a release of the same grant — and the ledger only counts nodes the
-  // revoke actually reclaimed, so the raced revoke is a no-op in the
-  // stats too (the deeper edges live in tests/durable_batch_test.cpp).
-  EXPECT_TRUE(pool.try_acquire(3));
-  pool.release(3);
-  pool.revoke(3);
+  // A second release of a grant already returned reclaims nothing.
+  pool.release_and_sweep(3);
   EXPECT_EQ(pool.in_use(), 0);
-  EXPECT_EQ(pool.revocations(), 1);
-  EXPECT_EQ(pool.revoked_nodes(), 8);
+  // The pool is healthy afterwards: the full capacity is available.
+  EXPECT_TRUE(pool.admit_or_park(1, 10, 0, nullptr));
+  pool.release_and_sweep(10);
+  // Negative releases are ignored outright.
+  ASSERT_TRUE(pool.admit_or_park(2, 2, 0, nullptr));
+  pool.release_and_sweep(-5);
+  EXPECT_EQ(pool.in_use(), 2);
+  EXPECT_EQ(pool.peak_in_use(), 10);
 }
 
 // --------------------------------------------------------------- Scheduler

@@ -1,9 +1,9 @@
-// Sharded service core (PR 10): JobClaims / ParkQueue / dispatcher
-// units plus the seeded 16-lane stress suite.
+// Sharded service core: JobClaims / CapacityQueue / dispatcher units
+// plus the seeded 16-lane stress suite.
 //
 // The units pin the three-way lock split's contracts in isolation: the
-// lowest-index-under-quota claim discipline, the park queue's strict
-// no-overtake FIFO with its lock-free fast path, and the sharded
+// lowest-index-under-quota claim discipline, the capacity queue's strict
+// no-overtake FIFO (alone and under concurrent lanes), and the sharded
 // dispatcher's owner-front/thief-back stealing and no-idle-with-work
 // wakeup protocol. The stress tests then drive the real Scheduler over
 // a 200-session fleet at 16 lanes and assert the service's one
@@ -20,7 +20,6 @@
 
 #include "mlcd/mlcd.hpp"
 #include "service/batch_report.hpp"
-#include "service/capacity.hpp"
 #include "service/dispatch.hpp"
 #include "service/scheduler.hpp"
 #include "service/workload.hpp"
@@ -28,10 +27,9 @@
 namespace {
 
 using namespace mlcd;
-using service::CapacityPool;
+using service::CapacityQueue;
 using service::JobClaims;
 using service::kNoJob;
-using service::ParkQueue;
 using service::ShardedDispatcher;
 
 // ------------------------------------------------------------ JobClaims
@@ -88,85 +86,165 @@ TEST(JobClaims, DoneOnlyWhenEveryJobFinished) {
 }
 
 // ------------------------------------------------------------ ParkQueue
+// The parked-FIFO half of CapacityQueue.
 
 TEST(ParkQueue, FastPathAdmitsWithoutParking) {
-  CapacityPool pool(10);
-  ParkQueue queue;
+  CapacityQueue queue(10);
   int parks = 0;
-  EXPECT_TRUE(queue.admit_or_park(pool, 0, 4, 0, [&] { ++parks; }));
+  EXPECT_TRUE(queue.admit_or_park(0, 4, 0, [&] { ++parks; }));
   EXPECT_EQ(queue.parked(), 0u);
+  EXPECT_EQ(queue.in_use(), 4);
   EXPECT_EQ(parks, 0);
 }
 
 TEST(ParkQueue, NothingOvertakesAParkedSession) {
-  CapacityPool pool(8);
-  ParkQueue queue;
-  ASSERT_TRUE(queue.admit_or_park(pool, 0, 6, 0, nullptr));  // A holds 6
+  CapacityQueue queue(8);
+  ASSERT_TRUE(queue.admit_or_park(0, 6, 0, nullptr));  // A holds 6
   int parks = 0;
   const auto on_park = [&] { ++parks; };
   // B needs 4, only 2 free: parks.
-  EXPECT_FALSE(queue.admit_or_park(pool, 1, 4, 1, on_park));
+  EXPECT_FALSE(queue.admit_or_park(1, 4, 1, on_park));
   // C needs 1 and 2 nodes ARE free — but B is parked ahead, so C must
   // park behind it (strict FIFO, no overtaking).
-  EXPECT_FALSE(queue.admit_or_park(pool, 2, 1, 2, on_park));
+  EXPECT_FALSE(queue.admit_or_park(2, 1, 2, on_park));
   EXPECT_EQ(queue.parked(), 2u);
   EXPECT_EQ(parks, 2);
 
   // A's release restages B then C, in park order, grants pre-acquired.
-  const auto resumed = queue.release_and_sweep(pool, 6);
+  const auto resumed = queue.release_and_sweep(6);
   ASSERT_EQ(resumed.size(), 2u);
   EXPECT_EQ(resumed[0].job, 1u);
   EXPECT_EQ(resumed[0].owner_lane, 1u);
   EXPECT_EQ(resumed[1].job, 2u);
   EXPECT_EQ(resumed[1].owner_lane, 2u);
   EXPECT_EQ(queue.parked(), 0u);
-  // The sweep acquired 4 + 1 of the 8: a 4-node probe still fits, a
-  // 5-node one does not.
-  EXPECT_FALSE(pool.try_acquire(5));
-  EXPECT_TRUE(pool.try_acquire(3));
+  // The sweep acquired 4 + 1 of the 8: a 3-node probe still fits, a
+  // 1-node one after it does not.
+  EXPECT_EQ(queue.in_use(), 5);
+  EXPECT_TRUE(queue.admit_or_park(3, 3, 0, on_park));
+  EXPECT_FALSE(queue.admit_or_park(4, 1, 0, on_park));
+  EXPECT_EQ(parks, 3);
 }
 
 TEST(ParkQueue, SweepStopsAtTheFirstProbeTooLarge) {
-  CapacityPool pool(6);
-  ParkQueue queue;
-  ASSERT_TRUE(queue.admit_or_park(pool, 0, 6, 0, nullptr));
-  ASSERT_FALSE(queue.admit_or_park(pool, 1, 5, 0, nullptr));
-  ASSERT_FALSE(queue.admit_or_park(pool, 2, 1, 0, nullptr));
+  CapacityQueue queue(6);
+  ASSERT_TRUE(queue.admit_or_park(0, 6, 0, nullptr));
+  ASSERT_FALSE(queue.admit_or_park(1, 5, 0, nullptr));
+  ASSERT_FALSE(queue.admit_or_park(2, 1, 0, nullptr));
   // Releasing 3 is not enough for the 5-node head: head-of-line
   // blocking is the contract — the 1-node probe behind it must wait.
-  EXPECT_TRUE(queue.release_and_sweep(pool, 3).empty());
-  const auto resumed = queue.release_and_sweep(pool, 3);
+  EXPECT_TRUE(queue.release_and_sweep(3).empty());
+  const auto resumed = queue.release_and_sweep(3);
   ASSERT_EQ(resumed.size(), 2u);
   EXPECT_EQ(resumed[0].job, 1u);
   EXPECT_EQ(resumed[1].job, 2u);
 }
 
 TEST(ParkQueue, ParkRevokedRestagesItselfWhenThePoolIsFree) {
-  CapacityPool pool(6);
-  ParkQueue queue;
+  CapacityQueue queue(6);
   int parks = 0;
   // Nothing else holds the pool: the revoked session parks and is swept
   // straight back out with its grant re-acquired.
-  const auto resumed =
-      queue.park_revoked(pool, 0, 4, 3, [&] { ++parks; });
+  const auto resumed = queue.park(0, 4, 3, [&] { ++parks; });
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_EQ(resumed[0].job, 0u);
   EXPECT_EQ(resumed[0].owner_lane, 3u);
   EXPECT_EQ(parks, 1);
   EXPECT_EQ(queue.parked(), 0u);
-  EXPECT_FALSE(pool.try_acquire(3));  // the re-acquired 4 of 6 held
+  EXPECT_EQ(queue.in_use(), 4);  // the re-acquired 4 of 6 held
 }
 
 TEST(ParkQueue, ParkRevokedIsAPureParkUnderContention) {
-  CapacityPool pool(6);
-  ParkQueue queue;
-  ASSERT_TRUE(queue.admit_or_park(pool, 0, 4, 0, nullptr));  // A holds 4
+  CapacityQueue queue(6);
+  ASSERT_TRUE(queue.admit_or_park(0, 4, 0, nullptr));  // A holds 4
   // B's revocation cannot re-acquire (only 2 free): pure park.
-  EXPECT_TRUE(queue.park_revoked(pool, 1, 4, 1, nullptr).empty());
+  EXPECT_TRUE(queue.park(1, 4, 1, nullptr).empty());
   EXPECT_EQ(queue.parked(), 1u);
-  const auto resumed = queue.release_and_sweep(pool, 4);
+  const auto resumed = queue.release_and_sweep(4);
   ASSERT_EQ(resumed.size(), 1u);
   EXPECT_EQ(resumed[0].job, 1u);
+}
+
+// Four lanes admit, park (the spot-revocation path) and release against
+// one small pool at once, each lane settling whatever its releases
+// sweep out, the way ProbeBatch lanes do. The queue's one mutex is all
+// that orders them: occupancy never passes the pool, every parked
+// session is swept out exactly once — after its on_park ran — and the
+// queue drains to empty.
+TEST(CapacityQueue, ConcurrentLanesKeepCapacityAndResumeEachParkOnce) {
+  constexpr int kCapacity = 6;
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kJobsPerLane = 2000;
+  constexpr std::size_t kJobs = kLanes * kJobsPerLane;
+  CapacityQueue queue(kCapacity);
+
+  std::vector<int> nodes(kJobs);
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    nodes[j] = 1 + static_cast<int>((j * 7 + j / kJobsPerLane) % 4);
+  }
+  // Written by on_park under the queue lock, read by whichever lane
+  // sweeps the session out: plain memory, so TSan checks the ordering.
+  std::vector<char> on_park_ran(kJobs, 0);
+  std::vector<std::atomic<int>> resumes(kJobs);
+  std::atomic<int> held{0};
+  std::atomic<int> over_capacity{0};
+  std::atomic<int> resumed_unparked{0};
+  std::atomic<int> parks{0};
+
+  const auto run_lane = [&](std::size_t lane) {
+    std::vector<CapacityQueue::Resumed> pending;
+    // Holds a grant of `n` nodes for a moment, then returns it.
+    const auto hold_and_release = [&](int n) {
+      if (held.fetch_add(n) + n > kCapacity) ++over_capacity;
+      if (queue.in_use() > kCapacity) ++over_capacity;
+      std::this_thread::yield();
+      held.fetch_sub(n);
+      for (const auto& r : queue.release_and_sweep(n)) pending.push_back(r);
+    };
+    const auto settle = [&](std::vector<CapacityQueue::Resumed> swept) {
+      pending.insert(pending.end(), swept.begin(), swept.end());
+      while (!pending.empty()) {
+        const CapacityQueue::Resumed r = pending.back();
+        pending.pop_back();
+        if (on_park_ran[r.job] == 0) ++resumed_unparked;
+        resumes[r.job].fetch_add(1);
+        hold_and_release(nodes[r.job]);
+      }
+    };
+    for (std::size_t k = 0; k < kJobsPerLane; ++k) {
+      const std::size_t job = lane * kJobsPerLane + k;
+      const auto on_park = [&, job] {
+        on_park_ran[job] = 1;
+        ++parks;
+      };
+      if (k % 5 == 4) {
+        settle(queue.park(job, nodes[job], lane, on_park));
+      } else if (queue.admit_or_park(job, nodes[job], lane, on_park)) {
+        hold_and_release(nodes[job]);
+        settle({});
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> lanes;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      lanes.emplace_back(run_lane, lane);
+    }
+  }
+
+  EXPECT_EQ(over_capacity.load(), 0);
+  EXPECT_EQ(resumed_unparked.load(), 0);
+  EXPECT_GT(parks.load(), 0);
+  int resumed = 0;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    EXPECT_EQ(resumes[j].load(), on_park_ran[j]) << "job " << j;
+    resumed += resumes[j].load();
+  }
+  EXPECT_EQ(resumed, parks.load());
+  EXPECT_EQ(queue.in_use(), 0);
+  EXPECT_EQ(queue.parked(), 0u);
+  EXPECT_LE(queue.peak_in_use(), kCapacity);
+  EXPECT_GT(queue.peak_in_use(), 0);
 }
 
 // ---------------------------------------------------- ShardedDispatcher
