@@ -1,11 +1,11 @@
 #include "journal/journal.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "cloud/instance.hpp"
@@ -22,77 +22,113 @@
 namespace mlcd::journal {
 namespace {
 
-// The journal demands bit-exact double round-trips (resume must
-// reproduce the uninterrupted trace to the last bit), so records are
-// composed locally at %.17g — the shortest precision guaranteed to
-// round-trip IEEE doubles through strtod — rather than with
-// util::JsonWriter's display-oriented %.10g.
-std::string format_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+/// A probe record with a short attempt log fits, so composing one
+/// allocates once.
+constexpr std::size_t kRecordReserve = 512;
 
-std::string format_u64(std::uint64_t v) {
+template <typename Int>
+void append_integer(std::string& out, Int v) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
-
-class Composer {
- public:
-  Composer& field(std::string_view key, std::string_view text) {
-    sep();
-    out_ << '"' << key << "\":\"" << util::JsonWriter::escape(text) << '"';
-    return *this;
-  }
-  /// String literals must not fall into the bool overload (const char* ->
-  /// bool is a standard conversion and would beat string_view).
-  Composer& field(std::string_view key, const char* text) {
-    return field(key, std::string_view(text));
-  }
-  Composer& field(std::string_view key, double v) {
-    return raw(key, format_double(v));
-  }
-  Composer& field(std::string_view key, int v) {
-    return raw(key, std::to_string(v));
-  }
-  Composer& field(std::string_view key, std::size_t v) {
-    return raw(key, std::to_string(v));
-  }
-  Composer& field(std::string_view key, bool v) {
-    return raw(key, v ? "true" : "false");
-  }
-  /// uint64 values (seeds, hashes) exceed the double-exact JSON number
-  /// range, so they travel as decimal strings.
-  Composer& field_u64(std::string_view key, std::uint64_t v) {
-    return field(key, format_u64(v));
-  }
-  Composer& raw(std::string_view key, std::string_view json) {
-    sep();
-    out_ << '"' << key << "\":" << json;
-    return *this;
-  }
-  std::string str() const { return "{" + out_.str() + "}"; }
-
- private:
-  void sep() {
-    if (!first_) out_ << ',';
-    first_ = false;
-  }
-  std::ostringstream out_;
-  bool first_ = true;
-};
 
 }  // namespace
 
-std::string header_payload(const JournalHeader& h) {
+Composer::Composer() {
+  out_.reserve(kRecordReserve);
+  out_.push_back('{');
+}
+
+void Composer::key(std::string_view key) {
+  const char last = out_.back();
+  if (last != '{' && last != '[') out_.push_back(',');
+  out_.push_back('"');
+  out_.append(key);
+  out_.append("\":");
+}
+
+Composer& Composer::field(std::string_view k, std::string_view text) {
+  key(k);
+  out_.push_back('"');
+  util::JsonWriter::escape_to(out_, text);
+  out_.push_back('"');
+  return *this;
+}
+
+Composer& Composer::field(std::string_view k, double v) {
+  key(k);
+  char buf[32];  // sign, 17 digits, point, exponent: at most 24
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out_.append(buf, r.ptr);
+  return *this;
+}
+
+Composer& Composer::field(std::string_view k, int v) {
+  key(k);
+  append_integer(out_, v);
+  return *this;
+}
+
+Composer& Composer::field(std::string_view k, std::size_t v) {
+  key(k);
+  append_integer(out_, v);
+  return *this;
+}
+
+Composer& Composer::field(std::string_view k, bool v) {
+  key(k);
+  out_.append(v ? "true" : "false");
+  return *this;
+}
+
+Composer& Composer::field_u64(std::string_view k, std::uint64_t v) {
+  key(k);
+  out_.push_back('"');
+  append_integer(out_, v);
+  out_.push_back('"');
+  return *this;
+}
+
+Composer& Composer::open_object(std::string_view k) {
+  key(k);
+  out_.push_back('{');
+  return *this;
+}
+
+Composer& Composer::open_object() {
+  if (out_.back() != '[') out_.push_back(',');
+  out_.push_back('{');
+  return *this;
+}
+
+Composer& Composer::close_object() {
+  out_.push_back('}');
+  return *this;
+}
+
+Composer& Composer::open_array(std::string_view k) {
+  key(k);
+  out_.push_back('[');
+  return *this;
+}
+
+Composer& Composer::close_array() {
+  out_.push_back(']');
+  return *this;
+}
+
+std::string Composer::finish() {
+  out_.push_back('}');
+  return std::move(out_);
+}
+
+void header_fields(Composer& c, const JournalHeader& h) {
   // Version is derived from content, not from h.version: a run without a
   // fidelity ladder writes a version-1 header byte-identically to the
   // pre-ladder format (the golden suite pins those bytes), and only a
   // run that actually uses the ladder stamps version 2.
   const int version = h.fidelity_ladder_hash != 0 ? 2 : 1;
-  Composer c;
   c.field("t", "header")
       .field("version", version)
       .field("method", h.method)
@@ -111,22 +147,15 @@ std::string header_payload(const JournalHeader& h) {
   if (h.fidelity_ladder_hash != 0) {
     c.field_u64("fidelity_ladder", h.fidelity_ladder_hash);
   }
-  return c.str();
+}
+
+std::string header_payload(const JournalHeader& h) {
+  Composer c;
+  header_fields(c, h);
+  return c.finish();
 }
 
 std::string probe_payload(const ProbeRecord& p, int job) {
-  std::ostringstream attempts;
-  attempts << '[';
-  for (std::size_t i = 0; i < p.attempt_log.size(); ++i) {
-    if (i > 0) attempts << ',';
-    Composer a;
-    a.field("fault", p.attempt_log[i].fault)
-        .field("hours", p.attempt_log[i].hours)
-        .field("cost", p.attempt_log[i].cost)
-        .field("backoff_hours", p.attempt_log[i].backoff_hours);
-    attempts << a.str();
-  }
-  attempts << ']';
   Composer c;
   c.field("t", "probe");
   if (job >= 0) c.field("job", job);
@@ -145,14 +174,23 @@ std::string probe_payload(const ProbeRecord& p, int job) {
       .field("attempts", p.attempts)
       .field("fault", p.fault)
       .field("backoff_hours", p.backoff_hours)
-      .raw("attempt_log", attempts.str());
+      .open_array("attempt_log");
+  for (const AttemptEntry& a : p.attempt_log) {
+    c.open_object()
+        .field("fault", a.fault)
+        .field("hours", a.hours)
+        .field("cost", a.cost)
+        .field("backoff_hours", a.backoff_hours)
+        .close_object();
+  }
+  c.close_array();
   // Fidelity fields travel sparsely: full-fidelity records (and thus
   // every record of a ladder-free run) keep the version-1 byte layout.
   if (p.sample_fraction != 1.0 || p.iteration_tier != 0) {
     c.field("sample_fraction", p.sample_fraction)
         .field("iteration_tier", p.iteration_tier);
   }
-  return c.str();
+  return c.finish();
 }
 
 std::string degrade_payload(const DegradeRecord& d, int job) {
@@ -160,7 +198,7 @@ std::string degrade_payload(const DegradeRecord& d, int job) {
   c.field("t", "degrade");
   if (job >= 0) c.field("job", job);
   c.field("iteration", d.iteration).field("why", d.why);
-  return c.str();
+  return c.finish();
 }
 
 namespace {
@@ -321,6 +359,12 @@ std::string header_diff(const JournalHeader& got, const JournalHeader& want) {
 namespace {
 
 constexpr std::string_view kMagic = "MLCDJ1";
+
+/// Appends `payload`'s MLCDJ1 line to `out`.
+void append_framed(std::string& out, std::string_view payload) {
+  const FrameHead head(payload);
+  out.append(head.view()).append(payload).push_back('\n');
+}
 
 /// Attempts to unframe one line (without its trailing '\n'); the
 /// returned payload views into `line`. nullopt when the line does not
@@ -707,13 +751,16 @@ std::string frame_record(const std::string& payload) {
   return line;
 }
 
-void append_framed(std::string& out, std::string_view payload) {
-  char head[48];
-  const int n = std::snprintf(head, sizeof head, "%s %zu %08x ", kMagic.data(),
-                              payload.size(), crc32(payload));
-  out.append(head, static_cast<std::size_t>(n));
-  out.append(payload);
-  out.push_back('\n');
+FrameHead::FrameHead(std::string_view payload) noexcept {
+  static constexpr char kHex[] = "0123456789abcdef";
+  char* p = std::copy(kMagic.begin(), kMagic.end(), bytes_);
+  *p++ = ' ';
+  p = std::to_chars(p, bytes_ + sizeof bytes_, payload.size()).ptr;
+  *p++ = ' ';
+  const std::uint32_t crc = crc32(payload);
+  for (int shift = 28; shift >= 0; shift -= 4) *p++ = kHex[(crc >> shift) & 15];
+  *p++ = ' ';
+  size_ = static_cast<std::size_t>(p - bytes_);
 }
 
 RunJournal::RunJournal(FramedWriter writer) : writer_(std::move(writer)) {}

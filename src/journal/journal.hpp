@@ -347,14 +347,70 @@ JournalContents read_journal(const std::string& path);
 /// CRC-32 of the payload, payload, newline).
 std::string frame_record(const std::string& payload);
 
-/// Frames `payload` onto the end of `out` (frame_record without the
-/// temporary).
-void append_framed(std::string& out, std::string_view payload);
+/// The head of a payload's MLCDJ1 line, "MLCDJ1 <payload-bytes>
+/// <crc32-hex> ": the line is this head, the payload and a newline.
+/// Computing it apart from the append lets a writer that shares its
+/// buffer run the CRC before it takes the buffer's lock.
+class FrameHead {
+ public:
+  explicit FrameHead(std::string_view payload) noexcept;
+  std::string_view view() const noexcept { return {bytes_, size_}; }
+
+ private:
+  char bytes_[40] = {};  ///< magic, space, <= 20 digits, space, 8 hex, space
+  std::size_t size_ = 0;
+};
+
+/// Composes one single-line JSON record payload into one reserved
+/// string, fields in the order they are added. Integers are written in
+/// decimal and doubles by std::to_chars in `general` format at precision
+/// 17, which the standard defines as printf's `%.17g`: the shortest
+/// fixed precision that round-trips every IEEE double through strtod,
+/// which resume's bit-identity needs (util::JsonWriter's display-oriented
+/// %.10g does not). Strings are escaped in place
+/// (util::JsonWriter::escape_to); keys are written as given.
+class Composer {
+ public:
+  Composer();
+
+  Composer& field(std::string_view key, std::string_view text);
+  /// String literals must not fall into the bool overload (const char* ->
+  /// bool is a standard conversion and would beat string_view).
+  Composer& field(std::string_view key, const char* text) {
+    return field(key, std::string_view(text));
+  }
+  Composer& field(std::string_view key, double v);
+  Composer& field(std::string_view key, int v);
+  Composer& field(std::string_view key, std::size_t v);
+  Composer& field(std::string_view key, bool v);
+  /// uint64 values (seeds, hashes) exceed the double-exact JSON number
+  /// range, so they travel as decimal strings.
+  Composer& field_u64(std::string_view key, std::uint64_t v);
+
+  /// Nested values: `open_object(key)` starts `"key":{`, `open_object()`
+  /// an element of the enclosing array, `open_array(key)` `"key":[`.
+  Composer& open_object(std::string_view key);
+  Composer& open_object();
+  Composer& close_object();
+  Composer& open_array(std::string_view key);
+  Composer& close_array();
+
+  /// Closes the record and hands over its bytes; the composer is spent.
+  std::string finish();
+
+ private:
+  void key(std::string_view key);
+
+  std::string out_;
+};
 
 /// Record payloads, shared by the run journal and the batch log. `job`
 /// >= 0 tags a probe/degrade record with its batch job index (a `"job"`
 /// key right after the type); -1 writes the untagged run-journal bytes.
 std::string header_payload(const JournalHeader& header);
+/// The header payload's fields, added to `c` (the batch log nests them
+/// in a job's assigned record).
+void header_fields(Composer& c, const JournalHeader& header);
 std::string probe_payload(const ProbeRecord& record, int job = -1);
 std::string degrade_payload(const DegradeRecord& record, int job = -1);
 

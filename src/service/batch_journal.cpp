@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "profiler/fidelity.hpp"
@@ -22,12 +19,6 @@ using journal::JournalErrorCode;
   throw JournalError(code, message);
 }
 
-std::string format_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
 std::string_view phase_name(BatchJobPhase phase) {
   switch (phase) {
     case BatchJobPhase::kAdmitted:
@@ -38,34 +29,6 @@ std::string_view phase_name(BatchJobPhase phase) {
       return "finished";
   }
   return "admitted";
-}
-
-std::string compose_header(const BatchManifestHeader& h) {
-  std::ostringstream out;
-  out << "{\"t\":\"batch_header\",\"version\":" << h.version
-      << ",\"workload_hash\":\"" << format_u64(h.workload_hash)
-      << "\",\"chaos_seed\":\"" << format_u64(h.chaos_seed)
-      << "\",\"job_count\":" << h.job_count
-      << ",\"capacity_nodes\":" << h.capacity_nodes
-      << ",\"tenant_max_jobs\":" << h.tenant_max_jobs << "}";
-  return out.str();
-}
-
-std::string compose_record(const BatchJobRecord& r) {
-  std::ostringstream out;
-  out << "{\"t\":\"job\",\"phase\":\"" << phase_name(r.phase)
-      << "\",\"job\":" << r.job << ",\"name\":\""
-      << util::JsonWriter::escape(r.name) << "\"";
-  if (r.phase == BatchJobPhase::kAssigned) {
-    out << ",\"header\":" << journal::header_payload(r.header);
-  }
-  if (r.phase == BatchJobPhase::kFinished) {
-    out << ",\"ok\":" << (r.ok ? "true" : "false") << ",\"outcome\":\""
-        << util::JsonWriter::escape(r.outcome) << "\",\"report_digest\":\""
-        << format_u64(r.report_digest) << "\"";
-  }
-  out << "}";
-  return out.str();
 }
 
 double require_number(const util::JsonValue& obj, std::string_view key) {
@@ -130,6 +93,37 @@ BatchManifestHeader parse_batch_header(const util::JsonValue& record) {
 
 }  // namespace
 
+std::string batch_header_payload(const BatchManifestHeader& h) {
+  journal::Composer c;
+  c.field("t", "batch_header")
+      .field("version", h.version)
+      .field_u64("workload_hash", h.workload_hash)
+      .field_u64("chaos_seed", h.chaos_seed)
+      .field("job_count", h.job_count)
+      .field("capacity_nodes", h.capacity_nodes)
+      .field("tenant_max_jobs", h.tenant_max_jobs);
+  return c.finish();
+}
+
+std::string job_record_payload(const BatchJobRecord& r) {
+  journal::Composer c;
+  c.field("t", "job")
+      .field("phase", phase_name(r.phase))
+      .field("job", r.job)
+      .field("name", r.name);
+  if (r.phase == BatchJobPhase::kAssigned) {
+    c.open_object("header");
+    journal::header_fields(c, r.header);
+    c.close_object();
+  }
+  if (r.phase == BatchJobPhase::kFinished) {
+    c.field("ok", r.ok)
+        .field("outcome", r.outcome)
+        .field_u64("report_digest", r.report_digest);
+  }
+  return c.finish();
+}
+
 // --------------------------------------------------------------------
 // BatchLog
 // --------------------------------------------------------------------
@@ -145,7 +139,7 @@ std::unique_ptr<BatchLog> BatchLog::create(
     const std::string& path, const BatchManifestHeader& header,
     const std::vector<std::string>& roster) {
   std::unique_ptr<BatchLog> log(new BatchLog(
-      path, journal::FramedWriter::create(path, compose_header(header)),
+      path, journal::FramedWriter::create(path, batch_header_payload(header)),
       std::string()));
   // Write-ahead: the whole fleet is logged as admitted before any probe
   // runs, so a kill during job 0 still knows the batch roster — one
@@ -177,7 +171,7 @@ std::unique_ptr<BatchLog> BatchLog::failed(const std::string& path,
 }
 
 std::optional<std::uint64_t> BatchLog::stage(const BatchJobRecord& record) {
-  return stage_payload(record.job, compose_record(record));
+  return stage_payload(record.job, job_record_payload(record));
 }
 
 std::optional<std::uint64_t> BatchLog::stage_probe(
@@ -191,14 +185,17 @@ std::optional<std::uint64_t> BatchLog::stage_degrade(
 }
 
 std::optional<std::uint64_t> BatchLog::stage_payload(
-    int job, const std::string& payload) {
+    int job, std::string_view payload) {
+  // The frame's length and CRC are computed before the lock every lane
+  // shares; under it the record is only copied in.
+  const journal::FrameHead head(payload);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!error_.empty()) {
     lost_jobs_.push_back(job);
     return std::nullopt;
   }
   const std::size_t offset = staged_.size();
-  journal::append_framed(staged_, payload);
+  staged_.append(head.view()).append(payload).push_back('\n');
   // One draw per staged record, in staging order: `fail_at` indexes
   // records exactly as it indexes run-journal appends.
   if (journal::IoFaultInjector* injector = journal::io_fault_injector()) {

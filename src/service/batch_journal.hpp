@@ -54,6 +54,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "journal/journal.hpp"
@@ -205,7 +206,7 @@ class BatchLog {
   BatchLog(std::string path, std::optional<journal::FramedWriter> writer,
            std::string error);
   std::optional<std::uint64_t> stage_payload(int job,
-                                             const std::string& payload);
+                                             std::string_view payload);
 
   const std::string path_;
   /// Written only by the lane holding the in-flight round.
@@ -260,6 +261,13 @@ class BatchLogSink final : public journal::RecordSink {
   int job_ = 0;
   std::optional<std::uint64_t> staged_;
 };
+
+/// The log's own payloads, composed by journal::Composer: the header
+/// record that opens the log, and one job's lifecycle record (an
+/// assigned record nests the job's journal::header_payload fields under
+/// `"header"`).
+std::string batch_header_payload(const BatchManifestHeader& header);
+std::string job_record_payload(const BatchJobRecord& record);
 
 /// Reads a log back in one streaming pass: header first, then every
 /// record folded into per-job state — lifecycle flags, the latest

@@ -148,34 +148,45 @@ std::string JsonWriter::str() const {
 std::string JsonWriter::escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (unsigned char c : text) {
+  escape_to(out, text);
+  return out;
+}
+
+void JsonWriter::escape_to(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    const char* replacement = nullptr;
     switch (c) {
       case '"':
-        out += "\\\"";
+        replacement = "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        replacement = "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        replacement = "\\n";
         break;
       case '\r':
-        out += "\\r";
+        replacement = "\\r";
         break;
       case '\t':
-        out += "\\t";
+        replacement = "\\t";
         break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        if (c >= 0x20) continue;
+    }
+    out.append(text, plain, i - plain);
+    plain = i + 1;
+    if (replacement != nullptr) {
+      out.append(replacement);
+    } else {
+      const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+      out.append(code, sizeof code);
     }
   }
-  return out;
+  out.append(text, plain);
 }
 
 // ---------------------------------------------------------------- JsonValue

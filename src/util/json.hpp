@@ -49,6 +49,8 @@ class JsonWriter {
 
   /// JSON string escaping (quotes, backslashes, control characters).
   static std::string escape(std::string_view text);
+  /// escape(), appended to `out` in place.
+  static void escape_to(std::string& out, std::string_view text);
 
  private:
   enum class Scope { kObject, kArray };

@@ -7,12 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cinttypes>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/billing.hpp"
@@ -200,6 +207,456 @@ TEST(Journal, EmptyOrHeaderlessFileRefused) {
   const std::string path = temp_path("empty.mlcdj");
   write_file(path, "");
   EXPECT_THROW(journal::read_journal(path), journal::JournalError);
+}
+
+// ------------------------------------------------------ record composition
+
+// The composition journal::Composer replaced: one ostringstream per
+// record, one snprintf("%.17g") per double and a string escaper of its
+// own. Kept as the byte oracle the composer must match, so logs and
+// journals written before and after the change read and resume alike.
+namespace oracle {
+
+std::string format_double(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::string format_u64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+  return buf;
+}
+
+std::string escape(std::string_view text) {
+  std::string out;
+  for (unsigned char c : text) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
+
+class Composer {
+ public:
+  Composer& field(std::string_view key, std::string_view text) {
+    sep();
+    out_ << '"' << key << "\":\"" << escape(text) << '"';
+    return *this;
+  }
+  Composer& field(std::string_view key, const char* text) {
+    return field(key, std::string_view(text));
+  }
+  Composer& field(std::string_view key, double v) {
+    return raw(key, format_double(v));
+  }
+  Composer& field(std::string_view key, int v) {
+    return raw(key, std::to_string(v));
+  }
+  Composer& field(std::string_view key, std::size_t v) {
+    return raw(key, std::to_string(v));
+  }
+  Composer& field(std::string_view key, bool v) {
+    return raw(key, v ? "true" : "false");
+  }
+  Composer& field_u64(std::string_view key, std::uint64_t v) {
+    return field(key, format_u64(v));
+  }
+  Composer& raw(std::string_view key, std::string_view json) {
+    sep();
+    out_ << '"' << key << "\":" << json;
+    return *this;
+  }
+  std::string str() const { return "{" + out_.str() + "}"; }
+
+ private:
+  void sep() {
+    if (!first_) out_ << ',';
+    first_ = false;
+  }
+  std::ostringstream out_;
+  bool first_ = true;
+};
+
+std::string header_payload(const journal::JournalHeader& h) {
+  const int version = h.fidelity_ladder_hash != 0 ? 2 : 1;
+  Composer c;
+  c.field("t", "header")
+      .field("version", version)
+      .field("method", h.method)
+      .field("model", h.model)
+      .field("platform", h.platform)
+      .field("scenario_kind", h.scenario_kind)
+      .field("deadline_hours", h.deadline_hours)
+      .field("budget_dollars", h.budget_dollars)
+      .field_u64("seed", h.seed)
+      .field("max_nodes", h.max_nodes)
+      .field("use_spot", h.use_spot)
+      .field("gp_refit_every", h.gp_refit_every)
+      .field_u64("catalog_hash", h.catalog_hash)
+      .field_u64("profiler_options_hash", h.profiler_options_hash)
+      .field_u64("warm_start_hash", h.warm_start_hash);
+  if (h.fidelity_ladder_hash != 0) {
+    c.field_u64("fidelity_ladder", h.fidelity_ladder_hash);
+  }
+  return c.str();
+}
+
+std::string probe_payload(const journal::ProbeRecord& p, int job) {
+  std::ostringstream attempts;
+  attempts << '[';
+  for (std::size_t i = 0; i < p.attempt_log.size(); ++i) {
+    if (i > 0) attempts << ',';
+    Composer a;
+    a.field("fault", p.attempt_log[i].fault)
+        .field("hours", p.attempt_log[i].hours)
+        .field("cost", p.attempt_log[i].cost)
+        .field("backoff_hours", p.attempt_log[i].backoff_hours);
+    attempts << a.str();
+  }
+  attempts << ']';
+  Composer c;
+  c.field("t", "probe");
+  if (job >= 0) c.field("job", job);
+  c.field("type_index", p.type_index)
+      .field("nodes", p.nodes)
+      .field("failed", p.failed)
+      .field("feasible", p.feasible)
+      .field("measured_speed", p.measured_speed)
+      .field("true_speed", p.true_speed)
+      .field("profile_hours", p.profile_hours)
+      .field("profile_cost", p.profile_cost)
+      .field("cum_profile_hours", p.cum_profile_hours)
+      .field("cum_profile_cost", p.cum_profile_cost)
+      .field("acquisition", p.acquisition)
+      .field("reason", p.reason)
+      .field("attempts", p.attempts)
+      .field("fault", p.fault)
+      .field("backoff_hours", p.backoff_hours)
+      .raw("attempt_log", attempts.str());
+  if (p.sample_fraction != 1.0 || p.iteration_tier != 0) {
+    c.field("sample_fraction", p.sample_fraction)
+        .field("iteration_tier", p.iteration_tier);
+  }
+  return c.str();
+}
+
+std::string degrade_payload(const journal::DegradeRecord& d, int job) {
+  Composer c;
+  c.field("t", "degrade");
+  if (job >= 0) c.field("job", job);
+  c.field("iteration", d.iteration).field("why", d.why);
+  return c.str();
+}
+
+std::string batch_header_payload(const service::BatchManifestHeader& h) {
+  std::ostringstream out;
+  out << "{\"t\":\"batch_header\",\"version\":" << h.version
+      << ",\"workload_hash\":\"" << format_u64(h.workload_hash)
+      << "\",\"chaos_seed\":\"" << format_u64(h.chaos_seed)
+      << "\",\"job_count\":" << h.job_count
+      << ",\"capacity_nodes\":" << h.capacity_nodes
+      << ",\"tenant_max_jobs\":" << h.tenant_max_jobs << "}";
+  return out.str();
+}
+
+std::string job_record_payload(const service::BatchJobRecord& r) {
+  static const char* const kPhases[] = {"admitted", "assigned", "finished"};
+  std::ostringstream out;
+  out << "{\"t\":\"job\",\"phase\":\""
+      << kPhases[static_cast<int>(r.phase)] << "\",\"job\":" << r.job
+      << ",\"name\":\"" << escape(r.name) << "\"";
+  if (r.phase == service::BatchJobPhase::kAssigned) {
+    out << ",\"header\":" << oracle::header_payload(r.header);
+  }
+  if (r.phase == service::BatchJobPhase::kFinished) {
+    out << ",\"ok\":" << (r.ok ? "true" : "false") << ",\"outcome\":\""
+        << escape(r.outcome) << "\",\"report_digest\":\""
+        << format_u64(r.report_digest) << "\"";
+  }
+  out << "}";
+  return out.str();
+}
+
+}  // namespace oracle
+
+/// Doubles for the property tests: raw bit patterns (NaN of both signs,
+/// infinities and subnormals among them), uniform values over many
+/// magnitudes, and small integers.
+double draw_double(std::mt19937_64& rng) {
+  switch (rng() % 4) {
+    case 0:
+      return std::bit_cast<double>(rng());
+    case 1:
+      return std::uniform_real_distribution<double>(0.0, 1.0)(rng);
+    case 2:
+      return std::uniform_real_distribution<double>(-1.0, 1.0)(rng) *
+             std::pow(10.0, static_cast<int>(rng() % 40) - 20);
+    default:
+      return static_cast<double>(static_cast<int>(rng() % 2001) - 1000);
+  }
+}
+
+/// Short strings over an alphabet of plain ASCII, every character the
+/// escaper rewrites, DEL and UTF-8 bytes.
+std::string draw_text(std::mt19937_64& rng) {
+  static constexpr char kAlphabet[] = {'a', 'Z', '7', ' ', '"', '\\', '\n',
+                                       '\r', '\t', '\x01', '\x1f', '\x7f',
+                                       '\xc3', '\xa9', '/', '{'};
+  std::string text(rng() % 12, ' ');
+  for (char& c : text) c = kAlphabet[rng() % sizeof kAlphabet];
+  return text;
+}
+
+journal::JournalHeader draw_header(std::mt19937_64& rng) {
+  journal::JournalHeader h;
+  h.method = draw_text(rng);
+  h.model = draw_text(rng);
+  h.platform = draw_text(rng);
+  h.scenario_kind = static_cast<int>(rng() % 5);
+  h.deadline_hours = draw_double(rng);
+  h.budget_dollars = draw_double(rng);
+  h.seed = rng();
+  h.max_nodes = static_cast<int>(rng() % 64);
+  h.use_spot = rng() % 2 == 0;
+  h.gp_refit_every = static_cast<int>(rng() % 8) - 1;
+  h.catalog_hash = rng();
+  h.profiler_options_hash = rng();
+  h.warm_start_hash = rng() % 3 == 0 ? 0 : rng();
+  h.fidelity_ladder_hash = rng() % 2 == 0 ? 0 : rng();
+  return h;
+}
+
+journal::ProbeRecord draw_probe(std::mt19937_64& rng) {
+  journal::ProbeRecord p;
+  p.type_index = static_cast<std::size_t>(rng() % 200);
+  p.nodes = static_cast<int>(rng() % 51);
+  p.failed = rng() % 2 == 0;
+  p.feasible = rng() % 2 == 0;
+  p.measured_speed = draw_double(rng);
+  p.true_speed = draw_double(rng);
+  p.profile_hours = draw_double(rng);
+  p.profile_cost = draw_double(rng);
+  p.cum_profile_hours = draw_double(rng);
+  p.cum_profile_cost = draw_double(rng);
+  p.acquisition = draw_double(rng);
+  p.reason = draw_text(rng);
+  p.attempts = static_cast<int>(rng() % 5);
+  p.fault = static_cast<int>(rng() % 7);
+  p.backoff_hours = draw_double(rng);
+  p.attempt_log.resize(rng() % 4);
+  for (journal::AttemptEntry& a : p.attempt_log) {
+    a = {static_cast<int>(rng() % 7), draw_double(rng), draw_double(rng),
+         draw_double(rng)};
+  }
+  if (rng() % 2 == 0) {
+    p.sample_fraction = draw_double(rng);
+    p.iteration_tier = static_cast<int>(rng() % 4);
+  }
+  return p;
+}
+
+std::string compose_double(double v) {
+  return journal::Composer().field("v", v).finish();
+}
+
+TEST(JournalComposer, DoublesMatchPrintfPrecision17) {
+  const double edges[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::signaling_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      1e308,
+      5e-324,
+      0.1 + 0.2,
+      1.0 / 3.0,
+      1e-5,
+      1e-4,
+      1e16,
+      1e17,
+      123456789012345678.0,
+      9007199254740993.0,
+      -42.0,
+  };
+  for (const double v : edges) {
+    EXPECT_EQ(compose_double(v), "{\"v\":" + oracle::format_double(v) + "}")
+        << "bits " << std::bit_cast<std::uint64_t>(v);
+  }
+  std::mt19937_64 rng(20200518);
+  int mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const double v = i % 2 == 0 ? std::bit_cast<double>(rng())
+                                : draw_double(rng);
+    if (compose_double(v) != "{\"v\":" + oracle::format_double(v) + "}") {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v);
+      if (++mismatches == 10) break;
+    }
+  }
+}
+
+TEST(JournalComposer, PayloadsMatchTheStreamComposition) {
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const journal::ProbeRecord probe = draw_probe(rng);
+    const int job = rng() % 3 == 0 ? -1 : static_cast<int>(rng() % 300);
+    ASSERT_EQ(journal::probe_payload(probe, job),
+              oracle::probe_payload(probe, job))
+        << "probe " << i;
+
+    const journal::DegradeRecord degrade{static_cast<int>(rng() % 100),
+                                         draw_text(rng)};
+    ASSERT_EQ(journal::degrade_payload(degrade, job),
+              oracle::degrade_payload(degrade, job))
+        << "degrade " << i;
+
+    const journal::JournalHeader header = draw_header(rng);
+    ASSERT_EQ(journal::header_payload(header), oracle::header_payload(header))
+        << "header " << i;
+
+    service::BatchManifestHeader batch;
+    batch.workload_hash = rng();
+    batch.chaos_seed = rng() % 2 == 0 ? 0 : rng();
+    batch.job_count = static_cast<int>(rng() % 1000);
+    batch.capacity_nodes = static_cast<int>(rng() % 100);
+    batch.tenant_max_jobs = static_cast<int>(rng() % 10);
+    ASSERT_EQ(service::batch_header_payload(batch),
+              oracle::batch_header_payload(batch))
+        << "batch header " << i;
+
+    service::BatchJobRecord record;
+    record.phase = static_cast<service::BatchJobPhase>(i % 3);
+    record.job = static_cast<int>(rng() % 300);
+    record.name = draw_text(rng);
+    record.header = header;
+    record.ok = rng() % 2 == 0;
+    record.outcome = draw_text(rng);
+    record.report_digest = rng();
+    ASSERT_EQ(service::job_record_payload(record),
+              oracle::job_record_payload(record))
+        << "job record " << i;
+  }
+}
+
+TEST(JournalComposer, PinsTheBytesOfEveryRecordKind) {
+  journal::ProbeRecord probe;
+  probe.type_index = 3;
+  probe.nodes = 5;
+  probe.feasible = true;
+  probe.measured_speed = 0.1 + 0.2;
+  probe.profile_hours = 5e-324;
+  probe.cum_profile_cost = 1e308;
+  probe.reason = "tei \"q\"\n";
+  probe.attempt_log = {{1, 0.05, 0.25, 0.031}, {0, 0.17, 0.85, 0.0}};
+  EXPECT_EQ(
+      journal::probe_payload(probe, 4),
+      R"({"t":"probe","job":4,"type_index":3,"nodes":5,"failed":false,)"
+      R"("feasible":true,"measured_speed":0.30000000000000004,"true_speed":0,)"
+      R"("profile_hours":4.9406564584124654e-324,"profile_cost":0,)"
+      R"("cum_profile_hours":0,"cum_profile_cost":1e+308,"acquisition":0,)"
+      R"("reason":"tei \"q\"\n","attempts":1,"fault":0,"backoff_hours":0,)"
+      R"("attempt_log":[{"fault":1,"hours":0.050000000000000003,"cost":0.25,)"
+      R"("backoff_hours":0.031},{"fault":0,"hours":0.17000000000000001,)"
+      R"("cost":0.84999999999999998,"backoff_hours":0}]})");
+  probe.attempt_log.clear();
+  probe.sample_fraction = 0.25;
+  probe.iteration_tier = 2;
+  EXPECT_EQ(
+      journal::probe_payload(probe),
+      R"({"t":"probe","type_index":3,"nodes":5,"failed":false,)"
+      R"("feasible":true,"measured_speed":0.30000000000000004,"true_speed":0,)"
+      R"("profile_hours":4.9406564584124654e-324,"profile_cost":0,)"
+      R"("cum_profile_hours":0,"cum_profile_cost":1e+308,"acquisition":0,)"
+      R"("reason":"tei \"q\"\n","attempts":1,"fault":0,"backoff_hours":0,)"
+      R"("attempt_log":[],"sample_fraction":0.25,"iteration_tier":2})");
+
+  EXPECT_EQ(
+      journal::degrade_payload({3, "refit\tfailed\x01"}, 9),
+      R"({"t":"degrade","job":9,"iteration":3,"why":"refit\tfailed\u0001"})");
+
+  journal::JournalHeader header = sample_header();
+  const std::string header_v1 =
+      R"({"t":"header","version":1,"method":"heterbo","model":"resnet",)"
+      R"("platform":"tensorflow","scenario_kind":2,"deadline_hours":0,)"
+      R"("budget_dollars":150,"seed":"16045690984503111693","max_nodes":8,)"
+      R"("use_spot":false,"gp_refit_every":1,)"
+      R"("catalog_hash":"18446744073709551615",)"
+      R"("profiler_options_hash":"12345","warm_start_hash":"0"})";
+  EXPECT_EQ(journal::header_payload(header), header_v1);
+  header.fidelity_ladder_hash = 99;
+  EXPECT_EQ(
+      journal::header_payload(header),
+      R"({"t":"header","version":2,"method":"heterbo","model":"resnet",)"
+      R"("platform":"tensorflow","scenario_kind":2,"deadline_hours":0,)"
+      R"("budget_dollars":150,"seed":"16045690984503111693","max_nodes":8,)"
+      R"("use_spot":false,"gp_refit_every":1,)"
+      R"("catalog_hash":"18446744073709551615",)"
+      R"("profiler_options_hash":"12345","warm_start_hash":"0",)"
+      R"("fidelity_ladder":"99"})");
+
+  service::BatchManifestHeader batch;
+  batch.workload_hash = 0xDEADBEEFCAFEF00DULL;
+  batch.chaos_seed = 11;
+  batch.job_count = 256;
+  batch.capacity_nodes = 16;
+  batch.tenant_max_jobs = 4;
+  EXPECT_EQ(service::batch_header_payload(batch),
+            R"({"t":"batch_header","version":2,)"
+            R"("workload_hash":"16045690984503111693","chaos_seed":"11",)"
+            R"("job_count":256,"capacity_nodes":16,"tenant_max_jobs":4})");
+
+  service::BatchJobRecord record;
+  record.job = 17;
+  record.name = "job-17";
+  EXPECT_EQ(service::job_record_payload(record),
+            R"({"t":"job","phase":"admitted","job":17,"name":"job-17"})");
+  record.phase = service::BatchJobPhase::kAssigned;
+  record.header = sample_header();
+  EXPECT_EQ(service::job_record_payload(record),
+            R"({"t":"job","phase":"assigned","job":17,"name":"job-17",)"
+            R"("header":)" + header_v1 + "}");
+  record.phase = service::BatchJobPhase::kFinished;
+  record.ok = true;
+  record.outcome = "ok";
+  record.report_digest = 18446744073709551615ULL;
+  EXPECT_EQ(service::job_record_payload(record),
+            R"({"t":"job","phase":"finished","job":17,"name":"job-17",)"
+            R"("ok":true,"outcome":"ok",)"
+            R"("report_digest":"18446744073709551615"})");
+
+  EXPECT_EQ(journal::frame_record(R"({"t":"degrade"})"),
+            "MLCDJ1 15 6a288cd5 {\"t\":\"degrade\"}\n");
 }
 
 // ------------------------------------------------- end-to-end crash safety
